@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import _read_key_values, load_config
 from .harness import run, selfcheck_checks
 from .models import DiscreteJoint
 from .operators import (
@@ -66,15 +66,7 @@ def read_topic_spec_file(path: str | Path) -> TopicModelSpec:
     ``a`` (V rows of k entries), ``tau_weights``, ``tau_atoms`` (one row
     per atom), ``w``, ``doc_len``, ``noise_sigma``.
     """
-    values: dict = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected key=value")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        values[key] = raw
+    values = {key: raw for _, key, raw in _read_key_values(path)}
 
     def matrix(raw: str) -> np.ndarray:
         return np.asarray(
@@ -201,10 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,6 +6,7 @@ comma-separated lists.  Unknown keys are a usage error.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -90,9 +91,12 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"bad value for '{key}': {raw!r}") from exc
 
 
-def parse_config_file(path: str | Path) -> dict:
-    """Read key=value lines; '#' starts a comment; blank lines ignored."""
-    values: dict = {}
+def _read_key_values(path: str | Path) -> Iterator[tuple[int, str, str]]:
+    """Yield ``(line number, key, raw value)`` per key=value line of a file.
+
+    '#' starts a comment and blank lines are ignored; any other line
+    without '=' is a :class:`ConfigError`.
+    """
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -100,6 +104,13 @@ def parse_config_file(path: str | Path) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        yield lineno, key, raw
+
+
+def parse_config_file(path: str | Path) -> dict:
+    """Read key=value lines; '#' starts a comment; blank lines ignored."""
+    values: dict = {}
+    for lineno, key, raw in _read_key_values(path):
         if key not in _ALL_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         values[key] = _parse_value(key, raw)

@@ -1,12 +1,14 @@
 """Experiment runner: seeded trials, CSV output, optional SVG plots.
 
-Each run iterates over a grid (label dimension, interpolation coefficient,
-or downstream sample size), executes independent seeded trials at every
-grid point, and writes ``results.csv`` (one row per grid point, trial, and
-method) plus ``summary.csv`` (mean and standard error per grid point and
-method).  Trial seeds derive deterministically from
-(master seed, grid index, trial index), so outputs are byte-identical for
-identical (config, seed) and trials could run in any order.
+An experiment is one row of a table: the config field holding its grid
+(label dimension, interpolation coefficient, or downstream sample size;
+single-point experiments use the grid ``(0.0,)``) and a trial function
+returning ``(method, mse, eps_ci)`` rows.  One loop executes independent
+seeded trials at every grid point and writes ``results.csv`` (one row per
+grid point, trial, and method) plus ``summary.csv`` (mean and standard
+error per grid point and method).  Trial seeds derive deterministically
+from (master seed, grid index, trial index), so outputs are byte-identical
+for identical (config, seed) and trials could run in any order.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .independence import eps_ci_linear, eps_ci_linear_from_data
 from .learn import (
-    LinearRepresentation,
     closed_form_f_gaussian,
     closed_form_psi_gaussian,
     closed_form_psi_mixture,
@@ -77,6 +78,16 @@ class RunResult:
     summary_path: Path
 
 
+def _score_methods(pre, down, ev, star, target, ridge, pca) -> dict[str, float]:
+    """MSE vs ``target`` on ``ev`` of heads fit on ``down`` over ψ̂, raw x1 and ψ*."""
+    rep = fit_pretext_linear(pre.x1, pre.x2, ridge)
+    scores = {}
+    for method, features in (("psi", rep), ("raw-x1", lambda x: x), ("psi-star", star)):
+        fit = fit_downstream(features(down.x1), down.y, ridge, pca)
+        scores[method] = mean_squared_error(fit, features, target, ev.x1)
+    return scores
+
+
 def _mixture_trial(
     d1: int,
     d2: int,
@@ -94,26 +105,30 @@ def _mixture_trial(
     pre = mixture_sample(spec, n1, derive_seed(seed, 1))
     down = mixture_sample(spec, n2, derive_seed(seed, 2))
     ev = mixture_sample(spec, eval_n, derive_seed(seed, 3))
+    scores = _score_methods(
+        pre,
+        down,
+        ev,
+        lambda x: closed_form_psi_mixture(spec, x),
+        lambda x: mixture_target(spec, x),
+        ridge,
+        pca,
+    )
+    return scores, eps_ci_linear_from_data(ev.x1, ev.x2, ev.y)
 
-    def target(x):
-        return mixture_target(spec, x)
 
-    rep = fit_pretext_linear(pre.x1, pre.x2, ridge)
-    fit = fit_downstream(rep(down.x1), down.y, ridge, pca)
-    scores = {"psi": mean_squared_error(fit, rep, target, ev.x1)}
-
-    raw_rep = LinearRepresentation(b=np.eye(d1))
-    raw_fit = fit_downstream(down.x1, down.y, ridge, pca)
-    scores["raw-x1"] = mean_squared_error(raw_fit, raw_rep, target, ev.x1)
-
-    def star_rep(x):
-        return closed_form_psi_mixture(spec, x)
-
-    star_fit = fit_downstream(star_rep(down.x1), down.y, ridge, pca)
-    scores["psi-star"] = mean_squared_error(star_fit, star_rep, target, ev.x1)
-
-    eps = eps_ci_linear_from_data(ev.x1, ev.x2, ev.y)
-    return scores, eps
+def _gaussian_population(d1: int, d2: int, k: int, seed: int):
+    """Exact-CI Gaussian spec, its blocks, target map E[Y|x1] and analytic eps_ci."""
+    spec = random_gaussian_ci_spec(d1, d2, k, seed)
+    blocks = gaussian_ci_population(spec)
+    eps = eps_ci_linear(
+        blocks.sigma_x1x1,
+        blocks.sigma_x1x2,
+        blocks.sigma_x1y,
+        blocks.sigma_yy,
+        np.asarray(blocks.sigma_x2y).T,
+    )
+    return spec, blocks, closed_form_f_gaussian(blocks), eps
 
 
 def _gaussian_n2_trial(
@@ -134,164 +149,106 @@ def _gaussian_n2_trial(
     representation the downstream mean squared error is pure estimation
     noise and scales as 1/n2.
     """
-    spec = random_gaussian_ci_spec(d1, d2, k, derive_seed(seed, 11))
-    blocks = gaussian_ci_population(spec)
-    star = closed_form_psi_gaussian(blocks)
-    f_map = closed_form_f_gaussian(blocks)
+    spec, blocks, f_map, eps = _gaussian_population(d1, d2, k, derive_seed(seed, 11))
     pre = gaussian_ci_sample(spec, n1, derive_seed(seed, 1))
     down = gaussian_ci_sample(spec, n2, derive_seed(seed, 2))
     ev = gaussian_ci_sample(spec, eval_n, derive_seed(seed, 3))
-
-    def target(x):
-        return x @ f_map.T
-
-    scores: dict[str, float] = {}
-    rep = fit_pretext_linear(pre.x1, pre.x2, ridge)
-    fit = fit_downstream(rep(down.x1), down.y, ridge, pca)
-    scores["psi"] = mean_squared_error(fit, rep, target, ev.x1)
-
-    raw_rep = LinearRepresentation(b=np.eye(d1))
-    raw_fit = fit_downstream(down.x1, down.y, ridge, pca)
-    scores["raw-x1"] = mean_squared_error(raw_fit, raw_rep, target, ev.x1)
-
-    star_fit = fit_downstream(star(down.x1), down.y, ridge, pca)
-    scores["psi-star"] = mean_squared_error(star_fit, star, target, ev.x1)
-
-    eps = eps_ci_linear(
-        blocks.sigma_x1x1,
-        blocks.sigma_x1x2,
-        blocks.sigma_x1y,
-        blocks.sigma_yy,
-        np.asarray(blocks.sigma_x2y).T,
-    )
+    star = closed_form_psi_gaussian(blocks)
+    scores = _score_methods(pre, down, ev, star, lambda x: x @ f_map.T, ridge, pca)
     return scores, eps
 
 
-def _gaussian_identity_trial(d1: int, d2: int, k: int, seed: int) -> tuple[float, float]:
+def _gaussian_identity_rows(config: ExperimentConfig, value: float, seed: int):
     """Residual of the closed-form identity plus the analytic eps_ci."""
-    spec = random_gaussian_ci_spec(d1, d2, k, seed)
-    blocks = gaussian_ci_population(spec)
-    f_map = closed_form_f_gaussian(blocks)
+    _, blocks, f_map, eps = _gaussian_population(config.d1, config.d2, config.k, seed)
     rep = closed_form_psi_gaussian(blocks)
     w_star = optimal_downstream_map(blocks)
-    residual = float(np.linalg.norm(f_map - w_star.T @ rep.b, "fro"))
-    eps = eps_ci_linear(
-        blocks.sigma_x1x1,
-        blocks.sigma_x1x2,
-        blocks.sigma_x1y,
-        blocks.sigma_yy,
-        np.asarray(blocks.sigma_x2y).T,
-    )
-    return residual, eps
+    return [("identity-residual", np.linalg.norm(f_map - w_star.T @ rep.b, "fro"), eps)]
+
+
+_GAUSSIAN_KEYS = ("d1", "d2", "k", "n1", "n2", "eval_n", "ridge", "pca")
+_MIXTURE_KEYS = _GAUSSIAN_KEYS + ("alpha",)
+
+
+def _pipeline(trial_fn, keys: tuple[str, ...], grid_key: str):
+    """Table trial function: ``trial_fn`` on config ``keys``, grid value as ``grid_key``.
+
+    A singular solve gives one NaN row.
+    """
+
+    def rows(config: ExperimentConfig, value, seed: int):
+        params = {key: getattr(config, key) for key in keys}
+        try:
+            scores, eps = trial_fn(**{**params, grid_key: value, "seed": seed})
+        except np.linalg.LinAlgError:
+            return [("degenerate", float("nan"), float("nan"))]
+        return [(method, scores[method], eps) for method in sorted(scores)]
+
+    return rows
+
+
+def _ace_demo_rows(config: ExperimentConfig, value: float, seed: int):
+    joint = discrete_joint_random((8, 7, 3), seed)
+    solution = ace_fit(joint, k=3)
+    svals = np.linalg.svd(build_operator_t(joint).weighted, compute_uv=False)
+    gap = float(np.abs(solution.sigmas - svals[1:4]).max())
+    return [("sigma-gap", gap, eps_ci_tilde(joint))]
+
+
+def _topic_check_rows(config: ExperimentConfig, value: float, seed: int):
+    report = verify_latent_construction(random_topic_spec(5, 2, 3, 4, seed))
+    eps = report.eps_ci
+    return [
+        ("eps-ci", eps, eps),
+        ("linearity-gap", report.linearity_gap, eps),
+        ("beta-slack", report.beta_bound - report.beta_inv, eps),
+    ]
+
+
+def _ci_report_rows(config: ExperimentConfig, alpha: float, seed: int):
+    spec = random_mixture_spec(config.k, config.d1, config.d2, alpha, derive_seed(seed, 11))
+    data = mixture_sample(spec, config.eval_n, derive_seed(seed, 3))
+    # Hold each sample until the next trial has drawn its own.  A trial that
+    # frees its whole working set at once lets malloc return the heap to the
+    # system, and faulting it in again costs ci-report a fifth of its time.
+    _ci_report_rows.previous_sample = data
+    eps = eps_ci_linear_from_data(data.x1, data.x2, data.y)
+    return [("eps-ci", eps, eps)]
+
+
+#: experiment -> (config field holding the grid, or None for the single
+#: point 0.0; trial function (config, grid value, seed) -> rows of
+#: (method, mse, eps_ci)).  Keys follow ``config.EXPERIMENTS``.
+_EXPERIMENTS = {
+    "mse-vs-k": ("k_grid", _pipeline(_mixture_trial, _MIXTURE_KEYS, "k")),
+    "mse-vs-eps": ("alpha_grid", _pipeline(_mixture_trial, _MIXTURE_KEYS, "alpha")),
+    "mse-vs-n2": ("n2_grid", _pipeline(_gaussian_n2_trial, _GAUSSIAN_KEYS, "n2")),
+    "exact-ci-gaussian": (None, _gaussian_identity_rows),
+    "ace-demo": (None, _ace_demo_rows),
+    "topic-check": (None, _topic_check_rows),
+    "ci-report": ("alpha_grid", _ci_report_rows),
+}
 
 
 def _experiment_rows(config: ExperimentConfig) -> list[TrialRow]:
+    grid_field, trial_fn = _EXPERIMENTS[config.experiment]
+    grid = getattr(config, grid_field) if grid_field else (0.0,)
     rows: list[TrialRow] = []
-    exp = config.experiment
-
-    def add(grid_value, trial, method, mse, eps, seed):
-        rows.append(
-            TrialRow(
-                experiment=exp,
-                grid_value=float(grid_value),
-                trial=trial,
-                method=method,
-                mse=float(mse),
-                eps_ci=float(eps),
-                seed=seed,
-            )
-        )
-
-    if exp in ("mse-vs-k", "mse-vs-eps"):
-        if exp == "mse-vs-k":
-            grid = [(v, dict(k=v)) for v in config.k_grid]
-        else:
-            grid = [(v, dict(alpha=v)) for v in config.alpha_grid]
-        for gi, (value, override) in enumerate(grid):
-            for trial in range(config.trials):
-                seed = derive_seed(config.seed, gi, trial)
-                params = dict(
-                    d1=config.d1,
-                    d2=config.d2,
-                    k=config.k,
-                    alpha=config.alpha,
-                    n1=config.n1,
-                    n2=config.n2,
-                    eval_n=config.eval_n,
-                    ridge=config.ridge,
-                    pca=config.pca,
-                    seed=seed,
-                )
-                params.update(override)
-                try:
-                    scores, eps = _mixture_trial(**params)
-                except np.linalg.LinAlgError:
-                    scores, eps = {"degenerate": float("nan")}, float("nan")
-                for method in sorted(scores):
-                    add(value, trial, method, scores[method], eps, seed)
-    elif exp == "mse-vs-n2":
-        for gi, n2 in enumerate(config.n2_grid):
-            for trial in range(config.trials):
-                seed = derive_seed(config.seed, gi, trial)
-                try:
-                    scores, eps = _gaussian_n2_trial(
-                        d1=config.d1,
-                        d2=config.d2,
-                        k=config.k,
-                        n1=config.n1,
-                        n2=n2,
-                        eval_n=config.eval_n,
-                        ridge=config.ridge,
-                        pca=config.pca,
+    for gi, value in enumerate(grid):
+        for trial in range(config.trials):
+            seed = derive_seed(config.seed, gi, trial)
+            for method, mse, eps in trial_fn(config, value, seed):
+                rows.append(
+                    TrialRow(
+                        experiment=config.experiment,
+                        grid_value=float(value),
+                        trial=trial,
+                        method=method,
+                        mse=float(mse),
+                        eps_ci=float(eps),
                         seed=seed,
                     )
-                except np.linalg.LinAlgError:
-                    scores, eps = {"degenerate": float("nan")}, float("nan")
-                for method in sorted(scores):
-                    add(n2, trial, method, scores[method], eps, seed)
-    elif exp == "exact-ci-gaussian":
-        for trial in range(config.trials):
-            seed = derive_seed(config.seed, 0, trial)
-            residual, eps = _gaussian_identity_trial(
-                config.d1, config.d2, config.k, seed
-            )
-            add(0.0, trial, "identity-residual", residual, eps, seed)
-    elif exp == "ace-demo":
-        for trial in range(config.trials):
-            seed = derive_seed(config.seed, 0, trial)
-            joint = discrete_joint_random((8, 7, 3), seed)
-            solution = ace_fit(joint, k=3)
-            weighted = build_operator_t(joint).weighted
-            svals = np.linalg.svd(weighted, compute_uv=False)
-            gap = float(np.abs(solution.sigmas - svals[1:4]).max())
-            add(0.0, trial, "sigma-gap", gap, eps_ci_tilde(joint), seed)
-    elif exp == "topic-check":
-        for trial in range(config.trials):
-            seed = derive_seed(config.seed, 0, trial)
-            spec = random_topic_spec(5, 2, 3, 4, seed)
-            report = verify_latent_construction(spec)
-            add(0.0, trial, "eps-ci", report.eps_ci, report.eps_ci, seed)
-            add(0.0, trial, "linearity-gap", report.linearity_gap, report.eps_ci, seed)
-            add(
-                0.0,
-                trial,
-                "beta-slack",
-                report.beta_bound - report.beta_inv,
-                report.eps_ci,
-                seed,
-            )
-    elif exp == "ci-report":
-        for gi, alpha in enumerate(config.alpha_grid):
-            for trial in range(config.trials):
-                seed = derive_seed(config.seed, gi, trial)
-                spec = random_mixture_spec(
-                    config.k, config.d1, config.d2, alpha, derive_seed(seed, 11)
                 )
-                data = mixture_sample(spec, config.eval_n, derive_seed(seed, 3))
-                eps = eps_ci_linear_from_data(data.x1, data.x2, data.y)
-                add(alpha, trial, "eps-ci", eps, eps, seed)
-    else:  # pragma: no cover - guarded by ExperimentConfig
-        raise ConfigError(f"unknown experiment '{exp}'")
     return rows
 
 
@@ -475,8 +432,9 @@ def _check_precision_routes() -> None:
 
 
 def _check_gaussian_identity() -> None:
+    config = ExperimentConfig(d1=6, d2=5, k=2)
     for seed in range(3):
-        residual, eps = _gaussian_identity_trial(6, 5, 2, seed)
+        [(_, residual, eps)] = _gaussian_identity_rows(config, 0.0, seed)
         assert residual < 1e-8
         assert eps < 1e-8
 

@@ -56,7 +56,6 @@ class CIReport:
 
     eps_ci: float
     beta_inv: float
-    eps_y_bar: float | None = None
     rank_sigma_x2ybar: int = 0
     degenerate: bool = False
 
@@ -124,6 +123,24 @@ def eps_ci_linear_from_data(
     )
 
 
+def _conditional_mean_gap(p: Array) -> float:
+    """sqrt( E_{X1} ‖E[T|X1] − E_{Ȳ}[E[T|Ȳ] | X1]‖² ) for one-hot T.
+
+    ``p`` is a joint tensor with axes (x1, target, latent); the value is
+    evaluated by direct summation over the support.
+    """
+    p1 = p.sum(axis=(1, 2))
+    py = p.sum(axis=(0, 1))
+    if py.min() <= 0:
+        raise ValueError("latent marginal has a zero cell")
+    cond_t_x1 = p.sum(axis=2) / p1[:, None]
+    py_x1 = p.sum(axis=1) / p1[:, None]
+    pt_y = p.sum(axis=0) / py[None, :]
+    alt = py_x1 @ pt_y.T
+    gap2 = ((cond_t_x1 - alt) ** 2).sum(axis=1)
+    return float(np.sqrt((p1 * gap2).sum()))
+
+
 def eps_ci_universal(joint: DiscreteJoint) -> float:
     """Exact conditional-mean mismatch on a finite support.
 
@@ -133,18 +150,7 @@ def eps_ci_universal(joint: DiscreteJoint) -> float:
     """
     if not joint.has_y:
         raise ValueError("joint must carry a latent axis")
-    p = joint.p
-    p1 = p.sum(axis=(1, 2))
-    py = p.sum(axis=(0, 1))
-    if py.min() <= 0:
-        raise ValueError("latent marginal has a zero cell")
-    cond_x2_x1 = p.sum(axis=2) / p1[:, None]
-    py_x1 = p.sum(axis=1) / p1[:, None]
-    p2y = p.sum(axis=0)
-    px2_y = p2y / py[None, :]
-    alt = py_x1 @ px2_y.T
-    gap2 = ((cond_x2_x1 - alt) ** 2).sum(axis=1)
-    return float(np.sqrt((p1 * gap2).sum()))
+    return _conditional_mean_gap(joint.p)
 
 
 def beta_inv(
@@ -177,17 +183,7 @@ def eps_y_bar(joint: DiscreteJoint) -> float:
     """
     if not joint.has_y:
         raise ValueError("joint must have axes (x1, latent, label)")
-    p = joint.p
-    p1 = p.sum(axis=(1, 2))
-    pbar = p.sum(axis=(0, 2))
-    if pbar.min() <= 0:
-        raise ValueError("latent marginal has a zero cell")
-    py_x1 = p.sum(axis=1) / p1[:, None]
-    pbar_x1 = p.sum(axis=2) / p1[:, None]
-    py_bar = p.sum(axis=0) / pbar[:, None]
-    alt = pbar_x1 @ py_bar
-    gap2 = ((py_x1 - alt) ** 2).sum(axis=1)
-    return float(np.sqrt((p1 * gap2).sum()))
+    return _conditional_mean_gap(joint.p.transpose(0, 2, 1))
 
 
 def bayes_gap_check(joint: DiscreteJoint) -> tuple[float, float]:

@@ -25,6 +25,7 @@ from .linalg import (
     _as_float,
     pca_top_r,
     pinv,
+    solve_psd,
 )
 from .models import MixtureSpec, mixture_posterior
 
@@ -44,16 +45,11 @@ __all__ = [
     "optimal_downstream_map",
 ]
 
-#: Default trace-scaled ridge used when callers ask for regularized fits.
-DEFAULT_RIDGE = 1e-8
-
-
 @dataclass(frozen=True)
 class LinearRepresentation:
-    """Representation ψ(x) = B·φ(x) with an identity feature map by default."""
+    """Linear representation ψ(x) = B·x."""
 
     b: Array
-    feature_map: str = "identity"
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.b)):
@@ -72,21 +68,9 @@ class DownstreamFit:
     """Linear head Ŵ mapping representation outputs to label space."""
 
     w_hat: Array
-    ridge: float = 0.0
-    pca_rank: int | None = None
 
     def predict(self, psi_x) -> Array:
         return _as_float(psi_x) @ self.w_hat
-
-
-def _solve_invertible(sigma: Array, rhs: Array, rank_tol: float) -> tuple[Array, bool]:
-    sym = (sigma + sigma.T) / 2.0
-    evals = np.linalg.eigvalsh(sym)
-    top = max(evals.max(initial=0.0), 0.0)
-    degenerate = bool(evals.min(initial=0.0) <= rank_tol * top or top == 0.0)
-    if degenerate:
-        return pinv(sym, rank_tol) @ rhs, True
-    return np.linalg.solve(sym, rhs), False
 
 
 def closed_form_psi_gaussian(
@@ -100,7 +84,7 @@ def closed_form_psi_gaussian(
     Falls back to the pseudo-inverse when Σ_{X1X1} is singular; with
     ``return_degenerate=True`` returns ``(representation, flag)``.
     """
-    solved, degenerate = _solve_invertible(
+    solved, degenerate = solve_psd(
         _as_float(blocks.sigma_x1x1), _as_float(blocks.sigma_x1x2), rank_tol
     )
     rep = LinearRepresentation(b=solved.T)
@@ -113,7 +97,7 @@ def closed_form_f_gaussian(
     blocks: CovarianceBlocks, *, rank_tol: float = DEFAULT_RANK_TOL
 ) -> Array:
     """Population target map Σ_{YX1} Σ_{X1X1}⁻¹ (shape k×d1)."""
-    solved, _ = _solve_invertible(
+    solved, _ = solve_psd(
         _as_float(blocks.sigma_x1x1), _as_float(blocks.sigma_x1y), rank_tol
     )
     return solved.T
@@ -155,6 +139,16 @@ def mixture_two_class_target(spec: MixtureSpec, x1) -> Array:
     return post[..., 0] - post[..., 1]
 
 
+def _least_squares(a: Array, b: Array, ridge: float) -> Array:
+    """Solve (AᵀA + n·ridge·I) W = AᵀB; ridge = 0 gives the minimum-norm W."""
+    if not ridge >= 0:
+        raise ValueError("ridge must be nonnegative")
+    if ridge == 0.0:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+    n, d = a.shape
+    return np.linalg.solve(a.T @ a + n * ridge * np.eye(d), a.T @ b)
+
+
 def fit_pretext_linear(x1_pre, x2, ridge: float = 0.0) -> LinearRepresentation:
     """Least-squares fit of the second view from the first.
 
@@ -165,14 +159,7 @@ def fit_pretext_linear(x1_pre, x2, ridge: float = 0.0) -> LinearRepresentation:
     b = _as_float(x2)
     if a.shape[0] != b.shape[0]:
         raise ValueError("row counts differ")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
-    if ridge == 0.0:
-        coef = np.linalg.lstsq(a, b, rcond=None)[0]
-    else:
-        n, d = a.shape
-        coef = np.linalg.solve(a.T @ a + n * ridge * np.eye(d), a.T @ b)
-    return LinearRepresentation(b=coef.T)
+    return LinearRepresentation(b=_least_squares(a, b, ridge).T)
 
 
 def fit_downstream(
@@ -198,16 +185,10 @@ def fit_downstream(
             raise ValueError("pca_rank exceeds feature dimension")
         proj, _ = pca_top_r(feats, pca_rank)
         feats = feats @ proj
-    if ridge == 0.0:
-        w = np.linalg.lstsq(feats, targets, rcond=None)[0]
-    elif ridge > 0:
-        n, d = feats.shape
-        w = np.linalg.solve(feats.T @ feats + n * ridge * np.eye(d), feats.T @ targets)
-    else:
-        raise ValueError("ridge must be nonnegative")
+    w = _least_squares(feats, targets, ridge)
     if proj is not None:
         w = proj @ w
-    return DownstreamFit(w_hat=w, ridge=ridge, pca_rank=pca_rank)
+    return DownstreamFit(w_hat=w)
 
 
 def _risk(fit: DownstreamFit, rep, f_star, eval_x1, half: bool) -> float:

@@ -31,6 +31,7 @@ __all__ = [
     "partial_cov",
     "pca_top_r",
     "pinv",
+    "solve_psd",
 ]
 
 
@@ -111,22 +112,27 @@ def partial_cov(
     ``return_degenerate=True`` the function returns ``(matrix, flag)`` where
     the flag reports that fallback.
     """
-    sab = _as_float(sigma_ab)
-    saz = _as_float(sigma_az)
-    szz = _as_float(sigma_zz)
-    szb = _as_float(sigma_zb)
-    sym = (szz + szz.T) / 2.0
+    solved, degenerate = solve_psd(_as_float(sigma_zz), _as_float(sigma_zb), rank_tol)
+    out = _as_float(sigma_ab) - _as_float(sigma_az) @ solved
+    if return_degenerate:
+        return out, degenerate
+    return out
+
+
+def solve_psd(sigma: Array, rhs: Array, rank_tol: float) -> tuple[Array, bool]:
+    """Solve Σ X = rhs for a symmetric PSD Σ; returns ``(X, degenerate)``.
+
+    Σ is symmetrized first.  When its smallest eigenvalue is at most
+    ``rank_tol`` times the largest (or Σ is zero), the solve falls back to
+    the pseudo-inverse and ``degenerate`` is True.
+    """
+    sym = (sigma + sigma.T) / 2.0
     evals = np.linalg.eigvalsh(sym)
     top = max(evals.max(initial=0.0), 0.0)
     degenerate = bool(evals.min(initial=0.0) <= rank_tol * top or top == 0.0)
     if degenerate:
-        solved = pinv(sym, rank_tol) @ szb
-    else:
-        solved = np.linalg.solve(sym, szb)
-    out = sab - saz @ solved
-    if return_degenerate:
-        return out, degenerate
-    return out
+        return pinv(sym, rank_tol) @ rhs, True
+    return np.linalg.solve(sym, rhs), False
 
 
 def pinv(m, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
@@ -181,8 +187,6 @@ def pca_top_r(samples, r: int) -> tuple[Array, Array]:
     proj = vt.T[:, :r] if vt.shape[0] >= r else np.hstack(
         [vt.T, np.zeros((d, r - vt.shape[0]))]
     )
-    if proj.shape[1] < r:  # pragma: no cover - guarded above
-        raise ValueError("rank too small")
     # complete with an orthonormal basis when n-1 < r leaves missing columns
     if vt.shape[0] < r:
         q, _ = np.linalg.qr(np.eye(d) - proj @ proj.T)
@@ -268,7 +272,7 @@ def gaussian_conditionals_from_precision(
     """Conditional-expectation maps computed through the precision matrix.
 
     Inverts the joint covariance, extracts the precision blocks
-    A11, A12, A22, ρ1, ρ2, B, sets ρ̄i = ρi B^{−1/2}, and returns
+    A12, A22, ρ1, ρ2, B, sets ρ̄i = ρi B^{−1/2}, and returns
 
     - ``map_x2_given_x1`` = (A22 − ρ̄2ρ̄2ᵀ)⁻¹ (ρ̄2ρ̄1ᵀ − A21),
     - ``map_y_given_x``  = −B^{−1/2} [ρ̄1ᵀ, ρ̄2ᵀ],
@@ -285,7 +289,6 @@ def gaussian_conditionals_from_precision(
         raise ValueError("joint covariance is singular")
     prec = np.linalg.inv(sym)
     d1, d2 = blocks.d1, blocks.d2
-    a11 = prec[:d1, :d1]
     a12 = prec[:d1, d1 : d1 + d2]
     a21 = a12.T
     a22 = prec[d1 : d1 + d2, d1 : d1 + d2]
@@ -298,6 +301,4 @@ def gaussian_conditionals_from_precision(
     map_x2_given_x1 = np.linalg.solve(a22 - rb2 @ rb2.T, rb2 @ rb1.T - a21)
     map_y_given_x = -b_inv_sqrt @ np.concatenate([rb1.T, rb2.T], axis=1)
     map_y_given_x1 = -b_inv_sqrt @ (rb1.T + rb2.T @ map_x2_given_x1)
-    # a11 is part of the extracted block set; exposed for completeness checks
-    del a11
     return map_x2_given_x1, map_y_given_x, map_y_given_x1

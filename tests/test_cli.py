@@ -1,13 +1,24 @@
 """Configuration loading, the experiment harness, and the command line."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sslci
 from sslci.cli import main, read_joint_file, read_topic_spec_file
-from sslci.config import ConfigError, ExperimentConfig, load_config, parse_config_file
-from sslci.harness import TrialRow, run, selfcheck_checks, summarize
+from sslci.config import (
+    EXPERIMENTS,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    parse_config_file,
+)
+from sslci.harness import _EXPERIMENTS, TrialRow, run, selfcheck_checks, summarize
 
 JOINT_CI = """3 3 2
 0.05 0.05 0.05 0.05 0.10 0.05 0.05 0.05 0.10
@@ -199,6 +210,59 @@ def test_ci_report_experiment_monotone(tmp_path):
     assert np.mean(by_alpha[0.0]) < np.mean(by_alpha[1.0])
 
 
+# every entry of the experiment table at tiny sizes: methods in row order
+TABLE_METHODS = {
+    "mse-vs-k": ("psi", "psi-star", "raw-x1"),
+    "mse-vs-eps": ("psi", "psi-star", "raw-x1"),
+    "mse-vs-n2": ("psi", "psi-star", "raw-x1"),
+    "exact-ci-gaussian": ("identity-residual",),
+    "ace-demo": ("sigma-gap",),
+    "topic-check": ("eps-ci", "linearity-gap", "beta-slack"),
+    "ci-report": ("eps-ci",),
+}
+TINY = dict(
+    d1=4,
+    d2=3,
+    k=2,
+    n1=120,
+    n2=60,
+    eval_n=200,
+    trials=2,
+    seed=5,
+    k_grid=(2, 3),
+    alpha_grid=(0.0, 0.5, 1.0),
+    n2_grid=(40, 80),
+)
+
+
+def test_experiment_table_matches_config_names():
+    assert tuple(_EXPERIMENTS) == EXPERIMENTS
+    assert tuple(TABLE_METHODS) == EXPERIMENTS
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_experiment_table_entry(tmp_path, experiment):
+    grid_field, _ = _EXPERIMENTS[experiment]
+    grid = TINY[grid_field] if grid_field else (0.0,)
+    methods = TABLE_METHODS[experiment]
+    outputs = []
+    for name in ("a", "b"):
+        config = ExperimentConfig(
+            experiment=experiment, output_dir=str(tmp_path / name), **TINY
+        )
+        result = run(config)
+        outputs.append(result.results_path.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(result.rows) == len(grid) * TINY["trials"] * len(methods)
+    point = iter(result.rows)
+    for value in grid:
+        for trial in range(TINY["trials"]):
+            rows = [next(point) for _ in methods]
+            assert tuple(row.method for row in rows) == methods
+            assert {(row.grid_value, row.trial) for row in rows} == {(value, trial)}
+            assert all(np.isfinite(row.mse) and np.isfinite(row.eps_ci) for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # joint / topic file readers
 
@@ -289,6 +353,21 @@ def test_cli_selfcheck(capsys):
 def test_cli_selfcheck_injected_failure(capsys):
     assert main(["selfcheck", "--inject-failure"]) == 1
     assert "FAIL injected" in capsys.readouterr().out
+
+
+def test_python_m_sslci_selfcheck():
+    env = dict(os.environ)
+    src = str(Path(sslci.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "sslci", "selfcheck"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "all checks passed" in done.stdout
 
 
 def test_cli_ace(tmp_path, capsys):
