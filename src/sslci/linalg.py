@@ -128,9 +128,8 @@ def solve_psd(sigma: Array, rhs: Array, rank_tol: float) -> tuple[Array, bool]:
     """
     sym = (sigma + sigma.T) / 2.0
     evals = np.linalg.eigvalsh(sym)
-    top = max(evals.max(initial=0.0), 0.0)
-    degenerate = bool(evals.min(initial=0.0) <= rank_tol * top or top == 0.0)
-    if degenerate:
+    top = evals.max(initial=0.0)
+    if top == 0.0 or evals.min() <= rank_tol * top:
         return pinv(sym, rank_tol) @ rhs, True
     return np.linalg.solve(sym, rhs), False
 

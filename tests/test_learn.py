@@ -54,6 +54,21 @@ def test_closed_form_psi_scalar():
     assert rep.b[0, 0] == pytest.approx(0.5)
 
 
+def test_closed_form_psi_well_conditioned_not_degenerate():
+    blocks = gaussian_ci_population(random_gaussian_ci_spec(5, 4, 2, seed=3))
+    rep, degenerate = closed_form_psi_gaussian(blocks, return_degenerate=True)
+    assert not degenerate
+    oracle = np.linalg.solve(blocks.sigma_x1x1, blocks.sigma_x1x2).T
+    assert np.allclose(rep.b, oracle, atol=1e-12)
+
+
+def test_closed_form_psi_singular_flags_degenerate():
+    blocks = _scalar_blocks(0.0, 0.0, 0.0, 1.0, 0.3, 1.0)
+    rep, degenerate = closed_form_psi_gaussian(blocks, return_degenerate=True)
+    assert degenerate
+    assert np.array_equal(rep.b, np.zeros((1, 1)))
+
+
 def test_closed_form_f_scalar():
     blocks = _scalar_blocks(2.0, 1.0, 0.5, 1.0, 0.3, 1.0)
     f_map = closed_form_f_gaussian(blocks)

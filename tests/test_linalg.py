@@ -17,6 +17,7 @@ from sslci import (
     pinv,
     random_gaussian_ci_spec,
 )
+from sslci.linalg import solve_psd
 from sslci.models import make_rng
 
 
@@ -109,6 +110,32 @@ def test_partial_cov_singular_z_flags_degenerate():
     )
     assert degenerate
     assert np.allclose(out, np.diag([0.0, 1.0]))
+
+
+def test_partial_cov_well_conditioned_z_not_degenerate():
+    szz = np.array([[2.0, 0.5], [0.5, 1.0]])
+    szb = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])
+    out, degenerate = partial_cov(
+        np.zeros((1, 3)), np.ones((1, 2)), szz, szb, return_degenerate=True
+    )
+    assert not degenerate
+    assert np.allclose(out, -np.ones((1, 2)) @ np.linalg.inv(szz) @ szb, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    ("sigma", "degenerate"),
+    [
+        (np.diag([3.0, 1.0]), False),
+        (np.diag([3.0, 0.0]), True),
+        (np.diag([1.0, 1e-12]), True),
+        (np.zeros((2, 2)), True),
+    ],
+)
+def test_solve_psd_flags_only_singular_sigma(sigma, degenerate):
+    rhs = np.array([[1.0], [2.0]])
+    x, flag = solve_psd(sigma, rhs, 1e-10)
+    assert flag is degenerate
+    assert np.allclose(x, pinv(sigma) @ rhs, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
