@@ -109,18 +109,26 @@ def eps_ci_linear(
     return value
 
 
+def _sample_blocks(phi1, x2, ybar_onehot, center: bool) -> tuple[Array, ...]:
+    """Σ_φ1φ1, Σ_φ1X2, Σ_φ1ȳ, Σ_ȳȳ, Σ_ȳX2 from samples, each centred once."""
+    if center:
+        phi1, x2, ybar_onehot = (
+            m - m.mean(axis=0) for m in map(_as_float, (phi1, x2, ybar_onehot))
+        )
+    return (
+        empirical_cov(phi1, phi1, False),
+        empirical_cov(phi1, x2, False),
+        empirical_cov(phi1, ybar_onehot, False),
+        empirical_cov(ybar_onehot, ybar_onehot, False),
+        empirical_cov(ybar_onehot, x2, False),
+    )
+
+
 def eps_ci_linear_from_data(
     phi1, x2, ybar_onehot, *, norm: str = "fro", center: bool = True
 ) -> float:
     """Sample version of :func:`eps_ci_linear` from raw matrices."""
-    return eps_ci_linear(
-        empirical_cov(phi1, phi1, center),
-        empirical_cov(phi1, x2, center),
-        empirical_cov(phi1, ybar_onehot, center),
-        empirical_cov(ybar_onehot, ybar_onehot, center),
-        empirical_cov(ybar_onehot, x2, center),
-        norm=norm,
-    )
+    return eps_ci_linear(*_sample_blocks(phi1, x2, ybar_onehot, center), norm=norm)
 
 
 def _conditional_mean_gap(p: Array) -> float:
@@ -227,18 +235,10 @@ def spectrum_conditional(blocks: CovarianceBlocks) -> tuple[Array, Array]:
 
 def ci_report_from_data(x1, x2, ybar_onehot, *, center: bool = True) -> CIReport:
     """Empirical :class:`CIReport` from raw two-view labeled samples."""
-    eps, degenerate = eps_ci_linear(
-        empirical_cov(x1, x1, center),
-        empirical_cov(x1, x2, center),
-        empirical_cov(x1, ybar_onehot, center),
-        empirical_cov(ybar_onehot, ybar_onehot, center),
-        empirical_cov(ybar_onehot, x2, center),
-        return_degenerate=True,
-    )
-    beta = beta_inv(
-        empirical_cov(ybar_onehot, ybar_onehot, center),
-        empirical_cov(x2, ybar_onehot, center),
-    )
+    blocks = _sample_blocks(x1, x2, ybar_onehot, center)
+    eps, degenerate = eps_ci_linear(*blocks, return_degenerate=True)
+    sigma_ybarybar, sigma_ybarx2 = blocks[3:]
+    beta = beta_inv(sigma_ybarybar, sigma_ybarx2.T)
     return CIReport(
         eps_ci=eps,
         beta_inv=beta.value,

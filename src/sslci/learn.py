@@ -55,10 +55,6 @@ class LinearRepresentation:
         if not np.all(np.isfinite(self.b)):
             raise ValueError("non-finite representation matrix")
 
-    @property
-    def output_dim(self) -> int:
-        return self.b.shape[0]
-
     def __call__(self, x) -> Array:
         return _as_float(x) @ self.b.T
 

@@ -220,16 +220,19 @@ def mixture_sample(spec: MixtureSpec, n: int, seed: int) -> LabeledDataset:
 def mixture_posterior(spec: MixtureSpec, x1) -> Array:
     """Class posterior P(y | x1) under the unit-covariance mixture.
 
-    Accepts a single d1-vector or an n×d1 batch; rows sum to one.  Stable
-    via max-subtraction of the Gaussian log-densities.
+    Accepts a single d1-vector or an n×d1 batch; rows sum to one.  Uses the
+    GEMM form x·c − ½‖c‖² of the Gaussian log-densities: the dropped −½‖x‖²
+    is constant per row and cancels in the max-subtraction that keeps the
+    softmax stable, so no n×k×d1 difference tensor is built.
     """
     x = _as_float(x1)
     single = x.ndim == 1
     x = np.atleast_2d(x)
-    diff = x[:, None, :] - _as_float(spec.centers1)[None, :, :]
-    logd = -0.5 * np.einsum("nkd,nkd->nk", diff, diff)
+    centers = _as_float(spec.centers1)
+    logd = x @ centers.T
+    logd -= 0.5 * np.einsum("kd,kd->k", centers, centers)
     logd -= logd.max(axis=1, keepdims=True)
-    post = np.exp(logd)
+    post = np.exp(logd, out=logd)
     post /= post.sum(axis=1, keepdims=True)
     return post[0] if single else post
 

@@ -271,8 +271,8 @@ def sample_documents(spec: TopicModelSpec, n: int, seed: int) -> LabeledDataset:
     a = _as_float(spec.a)
     which = rng.choice(weights.size, size=n, p=weights)
     word_probs = atoms[which] @ a.T  # n×V
-    c1 = np.vstack([rng.multinomial(half, word_probs[i]) for i in range(n)])
-    c2 = np.vstack([rng.multinomial(half, word_probs[i]) for i in range(n)])
+    c1 = rng.multinomial(half, word_probs)
+    c2 = rng.multinomial(half, word_probs)
     x1 = (2.0 / spec.doc_len) * c1
     x2 = (2.0 / spec.doc_len) * c2
     full = (c1 + c2).astype(np.float64)

@@ -9,6 +9,7 @@ from sslci import (
     beta_inv,
     ci_report_from_data,
     discrete_joint_random,
+    empirical_cov,
     eps_ci_linear,
     eps_ci_linear_from_data,
     eps_ci_universal,
@@ -273,6 +274,44 @@ def test_ci_report_from_data_fields():
     assert report.eps_ci < 0.05
     assert report.beta_inv > 0
     assert report.rank_sigma_x2ybar >= 1
+
+
+def _five_blocks_centred_per_call(x1, x2, ybar, center):
+    return (
+        empirical_cov(x1, x1, center),
+        empirical_cov(x1, x2, center),
+        empirical_cov(x1, ybar, center),
+        empirical_cov(ybar, ybar, center),
+        empirical_cov(ybar, x2, center),
+    )
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-12 * abs(b)
+
+
+@pytest.mark.parametrize("center", [True, False])
+def test_eps_ci_linear_from_data_matches_per_call_centring(center):
+    spec = random_mixture_spec(5, 6, 4, alpha=0.4, seed=16)
+    data = mixture_sample(spec, 3_000, seed=17)
+    oracle = eps_ci_linear(*_five_blocks_centred_per_call(data.x1, data.x2, data.y, center))
+    assert _close(eps_ci_linear_from_data(data.x1, data.x2, data.y, center=center), oracle)
+
+
+@pytest.mark.parametrize("center", [True, False])
+def test_ci_report_from_data_matches_separate_block_calls(center):
+    spec = random_mixture_spec(5, 6, 4, alpha=0.4, seed=18)
+    data = mixture_sample(spec, 3_000, seed=19)
+    blocks = _five_blocks_centred_per_call(data.x1, data.x2, data.y, center)
+    eps, degenerate = eps_ci_linear(*blocks, return_degenerate=True)
+    beta = beta_inv(
+        empirical_cov(data.y, data.y, center), empirical_cov(data.x2, data.y, center)
+    )
+    report = ci_report_from_data(data.x1, data.x2, data.y, center=center)
+    assert _close(report.eps_ci, eps)
+    assert _close(report.beta_inv, beta.value)
+    assert report.rank_sigma_x2ybar == beta.rank
+    assert report.degenerate == (degenerate or beta.degenerate)
 
 
 def test_ci_report_rejects_negative():

@@ -1,5 +1,7 @@
 """Synthetic data models: analytic blocks, sampling, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,61 @@ def test_mixture_posterior_rows_sum_to_one(seed):
     post = mixture_posterior(spec, pts)
     assert np.abs(post.sum(axis=1) - 1.0).max() < 1e-12
     assert post.min() >= 0
+
+
+def _tensor_form_posterior(centers: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Posterior from −½‖x − c‖² over the full n×k×d1 difference tensor."""
+    diff = x[:, None, :] - centers[None, :, :]
+    logd = -0.5 * np.einsum("nkd,nkd->nk", diff, diff)
+    logd -= logd.max(axis=1, keepdims=True)
+    post = np.exp(logd)
+    return post / post.sum(axis=1, keepdims=True)
+
+
+def _overlapping_mixture(k: int, d1: int, rng) -> MixtureSpec:
+    return MixtureSpec(
+        k=k,
+        d1=d1,
+        d2=1,
+        centers1=0.5 * rng.standard_normal((k, d1)),
+        centers2=np.zeros((k, 1)),
+        alpha=0.0,
+    )
+
+
+def test_mixture_posterior_matches_tensor_form_on_overlapping_centers():
+    worst = 0.0
+    for seed in range(200):
+        rng = make_rng(seed, 40)
+        spec = _overlapping_mixture(int(rng.integers(2, 17)), int(rng.integers(1, 61)), rng)
+        x = 3.0 * rng.standard_normal((50, spec.d1))
+        oracle = _tensor_form_posterior(spec.centers1, x)
+        worst = max(worst, float(np.abs(mixture_posterior(spec, x) - oracle).max()))
+    assert worst <= 1e-12
+
+
+def test_mixture_posterior_single_vector_matches_batch_row():
+    rng = make_rng(41)
+    spec = _overlapping_mixture(16, 50, rng)
+    x = 3.0 * rng.standard_normal((20, 50))
+    batch = mixture_posterior(spec, x)
+    for i in range(x.shape[0]):
+        single = mixture_posterior(spec, x[i])
+        assert single.shape == (16,)
+        assert np.abs(single - batch[i]).max() <= 1e-14
+
+
+def test_mixture_posterior_builds_no_difference_tensor():
+    # the n×k×d1 tensor alone would take 64 MB at this size
+    spec = random_mixture_spec(16, 50, 40, alpha=0.0, seed=42)
+    x = mixture_sample(spec, 10_000, seed=43).x1
+    tracemalloc.start()
+    try:
+        mixture_posterior(spec, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_mixture_rejects_bad_alpha():

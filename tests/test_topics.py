@@ -11,6 +11,8 @@ from sslci import (
     sample_documents,
     verify_latent_construction,
 )
+from sslci import topics
+from sslci.models import make_rng
 from sslci.topics import _count_vectors, _multinomial_log_pmf
 
 
@@ -214,6 +216,39 @@ def test_sample_documents_deterministic():
     assert np.array_equal(a.x1, b.x1)
     assert np.array_equal(a.x2, b.x2)
     assert np.array_equal(a.y, b.y)
+
+
+class _RowByRowRng:
+    """Generator proxy that draws a batch of multinomials one row at a time."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.batched_rows = 0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def multinomial(self, n, pvals):
+        self.batched_rows += len(pvals)
+        return np.vstack([self._rng.multinomial(n, row) for row in pvals])
+
+
+def test_sample_documents_matches_row_by_row_multinomials(monkeypatch):
+    spec = random_topic_spec(6, 3, 4, 8, seed=15)
+    fast = sample_documents(spec, 500, seed=16)
+    made = []
+
+    def row_by_row(*keys):
+        made.append(_RowByRowRng(make_rng(*keys)))
+        return made[-1]
+
+    monkeypatch.setattr(topics, "make_rng", row_by_row)
+    slow = sample_documents(spec, 500, seed=16)
+    assert made[0].batched_rows == 2 * 500
+    for name in ("x1", "x2", "y"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def test_sample_documents_word_marginal():
