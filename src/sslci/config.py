@@ -1,7 +1,9 @@
 """Experiment configuration: flat key=value files plus CLI overrides.
 
 Precedence is CLI flag > config file > built-in default.  Grids are
-comma-separated lists.  Unknown keys are a usage error.
+comma-separated lists; an empty ``pca`` value means no truncation.
+Unknown keys and out-of-range values are a usage error, raised before any
+compute.
 """
 
 from __future__ import annotations
@@ -57,6 +59,19 @@ class ExperimentConfig:
         for name in ("k_grid", "alpha_grid", "n2_grid"):
             if len(getattr(self, name)) == 0:
                 raise ConfigError(f"{name} must be nonempty")
+        for name in ("d1", "d2", "k", "n1", "n2", "eval_n"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if min(self.n2_grid) < 1:
+            raise ConfigError("n2_grid entries must be >= 1")
+        if min(self.k_grid) < 2:
+            raise ConfigError("k_grid entries must be >= 2")
+        if not all(0.0 <= a <= 1.0 for a in (self.alpha, *self.alpha_grid)):
+            raise ConfigError("alpha and alpha_grid entries must be in [0, 1]")
+        if not self.ridge >= 0:
+            raise ConfigError("ridge must be nonnegative")
+        if self.pca is not None and not 1 <= self.pca <= min(self.d1, self.d2):
+            raise ConfigError("pca must be in [1, min(d1, d2)]")
 
 
 _INT_KEYS = {"d1", "d2", "n1", "n2", "k", "trials", "seed", "pca", "eval_n"}
@@ -72,6 +87,8 @@ _ALL_KEYS = (
 
 def _parse_value(key: str, raw: str):
     try:
+        if key == "pca" and not raw:
+            return None
         if key in _INT_KEYS:
             return int(raw)
         if key in _FLOAT_KEYS:

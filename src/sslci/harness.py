@@ -126,7 +126,7 @@ def _gaussian_population(d1: int, d2: int, k: int, seed: int):
         blocks.sigma_x1x2,
         blocks.sigma_x1y,
         blocks.sigma_yy,
-        np.asarray(blocks.sigma_x2y).T,
+        blocks.sigma_x2y.T,
     )
     return spec, blocks, closed_form_f_gaussian(blocks), eps
 
@@ -414,20 +414,15 @@ def _check_precision_routes() -> None:
     spec = random_gaussian_ci_spec(3, 2, 2, seed=7)
     blocks = gaussian_ci_population(spec)
     m21, my_x, my_x1 = gaussian_conditionals_from_precision(blocks)
-    s11 = np.asarray(blocks.sigma_x1x1)
-    direct_21 = np.asarray(blocks.sigma_x1x2).T @ np.linalg.inv(s11)
+    s11 = blocks.sigma_x1x1
+    direct_21 = blocks.sigma_x1x2.T @ np.linalg.inv(s11)
     assert np.abs(m21 - direct_21).max() < 1e-8
-    direct_y1 = np.asarray(blocks.sigma_x1y).T @ np.linalg.inv(s11)
+    direct_y1 = blocks.sigma_x1y.T @ np.linalg.inv(s11)
     assert np.abs(my_x1 - direct_y1).max() < 1e-8
     joint_xx = np.block(
-        [
-            [s11, np.asarray(blocks.sigma_x1x2)],
-            [np.asarray(blocks.sigma_x1x2).T, np.asarray(blocks.sigma_x2x2)],
-        ]
+        [[s11, blocks.sigma_x1x2], [blocks.sigma_x1x2.T, blocks.sigma_x2x2]]
     )
-    sigma_yx = np.concatenate(
-        [np.asarray(blocks.sigma_x1y).T, np.asarray(blocks.sigma_x2y).T], axis=1
-    )
+    sigma_yx = np.concatenate([blocks.sigma_x1y.T, blocks.sigma_x2y.T], axis=1)
     assert np.abs(my_x - sigma_yx @ np.linalg.inv(joint_xx)).max() < 1e-8
 
 

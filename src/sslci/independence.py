@@ -80,7 +80,6 @@ def eps_ci_linear(
     sigma_ybarx2,
     *,
     norm: str = "fro",
-    rank_tol: float = DEFAULT_RANK_TOL,
     return_degenerate: bool = False,
 ):
     """Whitened partial cross-covariance norm of the views given the latent.
@@ -88,16 +87,17 @@ def eps_ci_linear(
     Computes ‖Σ_{φ1φ1}^{−1/2} · Σ_{φ1 X2 | φ_ȳ}‖ with the requested norm
     ("fro" default, "2" for spectral).  Zero exactly when the views are
     conditionally independent given the latent (population blocks).
+    Eigenvalues of Σ_{ȳȳ} and Σ_{φ1φ1} at most ``DEFAULT_RANK_TOL`` times
+    their largest count as zero.
     """
     cond, degenerate = partial_cov(
         sigma_phi1x2,
         sigma_phi1ybar,
         sigma_ybarybar,
         sigma_ybarx2,
-        rank_tol=rank_tol,
         return_degenerate=True,
     )
-    white = inv_sqrt(sigma_phi1phi1, rank_tol) @ cond
+    white = inv_sqrt(sigma_phi1phi1) @ cond
     if norm == "fro":
         value = float(np.linalg.norm(white, "fro"))
     elif norm == "2":
@@ -124,11 +124,9 @@ def _sample_blocks(phi1, x2, ybar_onehot, center: bool) -> tuple[Array, ...]:
     )
 
 
-def eps_ci_linear_from_data(
-    phi1, x2, ybar_onehot, *, norm: str = "fro", center: bool = True
-) -> float:
-    """Sample version of :func:`eps_ci_linear` from raw matrices."""
-    return eps_ci_linear(*_sample_blocks(phi1, x2, ybar_onehot, center), norm=norm)
+def eps_ci_linear_from_data(phi1, x2, ybar_onehot, *, center: bool = True) -> float:
+    """Sample version of :func:`eps_ci_linear` (Frobenius norm) from raw matrices."""
+    return eps_ci_linear(*_sample_blocks(phi1, x2, ybar_onehot, center))
 
 
 def _conditional_mean_gap(p: Array) -> float:
@@ -161,23 +159,19 @@ def eps_ci_universal(joint: DiscreteJoint) -> float:
     return _conditional_mean_gap(joint.p)
 
 
-def beta_inv(
-    sigma_y_phiybar,
-    sigma_x2_phiybar,
-    *,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> BetaInvReport:
+def beta_inv(sigma_y_phiybar, sigma_x2_phiybar) -> BetaInvReport:
     """Spectral norm ‖Σ_{Yφ_ȳ} Σ_{X2φ_ȳ}†‖₂ with rank diagnostics.
 
-    The returned ``rank`` is the numerical rank of Σ_{X2φ_ȳ};
-    ``degenerate`` flags rank below the latent cardinality (the pseudo
-    inverse is then only a partial left inverse).
+    The returned ``rank`` is the numerical rank of Σ_{X2φ_ȳ} (singular
+    values above ``DEFAULT_RANK_TOL`` times the largest); ``degenerate``
+    flags rank below the latent cardinality (the pseudo inverse is then
+    only a partial left inverse).
     """
     sy = np.atleast_2d(_as_float(sigma_y_phiybar))
     sx = np.atleast_2d(_as_float(sigma_x2_phiybar))
     svals = np.linalg.svd(sx, compute_uv=False)
-    rank = int((svals > rank_tol * svals.max(initial=0.0)).sum()) if svals.size else 0
-    value = float(np.linalg.norm(sy @ pinv(sx, rank_tol), 2))
+    rank = int((svals > DEFAULT_RANK_TOL * svals.max(initial=0.0)).sum())
+    value = float(np.linalg.norm(sy @ pinv(sx), 2))
     return BetaInvReport(value=value, rank=rank, degenerate=rank < sx.shape[1])
 
 
@@ -222,12 +216,9 @@ def spectrum_conditional(blocks: CovarianceBlocks) -> tuple[Array, Array]:
     Purely descriptive: conditional singular values are not pointwise
     below the unconditional ones in general, so nothing is asserted.
     """
-    uncond = np.linalg.svd(_as_float(blocks.sigma_x1x2), compute_uv=False)
+    uncond = np.linalg.svd(blocks.sigma_x1x2, compute_uv=False)
     cond_mat = partial_cov(
-        blocks.sigma_x1x2,
-        blocks.sigma_x1y,
-        blocks.sigma_yy,
-        _as_float(blocks.sigma_x2y).T,
+        blocks.sigma_x1x2, blocks.sigma_x1y, blocks.sigma_yy, blocks.sigma_x2y.T
     )
     cond = np.linalg.svd(cond_mat, compute_uv=False)
     return uncond, cond

@@ -18,15 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    Array,
-    CovarianceBlocks,
-    _as_float,
-    pca_top_r,
-    pinv,
-    solve_psd,
-)
+from .linalg import Array, CovarianceBlocks, _as_float, pca_top_r, pinv, solve_psd
 from .models import MixtureSpec, mixture_posterior
 
 __all__ = [
@@ -70,45 +62,36 @@ class DownstreamFit:
 
 
 def closed_form_psi_gaussian(
-    blocks: CovarianceBlocks,
-    *,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    return_degenerate: bool = False,
+    blocks: CovarianceBlocks, *, return_degenerate: bool = False
 ):
     """Population representation B = Σ_{X2X1} Σ_{X1X1}⁻¹ as a linear map.
 
-    Falls back to the pseudo-inverse when Σ_{X1X1} is singular; with
+    Falls back to the pseudo-inverse when Σ_{X1X1} is singular (smallest
+    eigenvalue at most ``DEFAULT_RANK_TOL`` times the largest); with
     ``return_degenerate=True`` returns ``(representation, flag)``.
     """
-    solved, degenerate = solve_psd(
-        _as_float(blocks.sigma_x1x1), _as_float(blocks.sigma_x1x2), rank_tol
-    )
+    solved, degenerate = solve_psd(blocks.sigma_x1x1, blocks.sigma_x1x2)
     rep = LinearRepresentation(b=solved.T)
     if return_degenerate:
         return rep, degenerate
     return rep
 
 
-def closed_form_f_gaussian(
-    blocks: CovarianceBlocks, *, rank_tol: float = DEFAULT_RANK_TOL
-) -> Array:
+def closed_form_f_gaussian(blocks: CovarianceBlocks) -> Array:
     """Population target map Σ_{YX1} Σ_{X1X1}⁻¹ (shape k×d1)."""
-    solved, _ = solve_psd(
-        _as_float(blocks.sigma_x1x1), _as_float(blocks.sigma_x1y), rank_tol
-    )
+    solved, _ = solve_psd(blocks.sigma_x1x1, blocks.sigma_x1y)
     return solved.T
 
 
-def optimal_downstream_map(
-    blocks: CovarianceBlocks, *, rank_tol: float = DEFAULT_RANK_TOL
-) -> Array:
+def optimal_downstream_map(blocks: CovarianceBlocks) -> Array:
     """Population head W (d2×k) with Wᵀψ(x1) = E[Y|x1] under exact CI.
 
-    Wᵀ = Σ_{YY} Σ_{X2Y}†; exact whenever the views are conditionally
-    independent given y and Σ_{X2Y} has full column rank.
+    Wᵀ = Σ_{YY} Σ_{X2Y}†, singular values of Σ_{X2Y} at most
+    ``DEFAULT_RANK_TOL`` times the largest dropped; exact whenever the
+    views are conditionally independent given y and Σ_{X2Y} has full
+    column rank.
     """
-    wt = _as_float(blocks.sigma_yy) @ pinv(_as_float(blocks.sigma_x2y), rank_tol)
-    return wt.T
+    return (blocks.sigma_yy @ pinv(blocks.sigma_x2y)).T
 
 
 def closed_form_psi_mixture(spec: MixtureSpec, x1) -> Array:
@@ -119,7 +102,7 @@ def closed_form_psi_mixture(spec: MixtureSpec, x1) -> Array:
     the true conditional mean only in the conditionally independent case.
     """
     post = mixture_posterior(spec, x1)
-    return post @ _as_float(spec.centers2)
+    return post @ spec.centers2
 
 
 def mixture_target(spec: MixtureSpec, x1) -> Array:

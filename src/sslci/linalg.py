@@ -24,7 +24,6 @@ __all__ = [
     "DEFAULT_RANK_TOL",
     "CovarianceBlocks",
     "blocks_from_data",
-    "deterministic_svd",
     "empirical_cov",
     "gaussian_conditionals_from_precision",
     "inv_sqrt",
@@ -42,6 +41,19 @@ def _as_float(m) -> Array:
     return out
 
 
+def _store_float_fields(obj, shapes: dict[str, tuple[int, ...]]) -> None:
+    """Store each named field of a frozen dataclass as ``_as_float`` of itself.
+
+    Raises when a field has non-finite entries or a shape other than the
+    one given.
+    """
+    for name, want in shapes.items():
+        value = _as_float(getattr(obj, name))
+        if value.shape != want:
+            raise ValueError(f"{name} has shape {value.shape}, expected {want}")
+        object.__setattr__(obj, name, value)
+
+
 def _sign_fix_columns(m: Array) -> Array:
     """Signs making the first nonzero component of each column positive."""
     signs = np.ones(m.shape[1])
@@ -54,18 +66,6 @@ def _sign_fix_columns(m: Array) -> Array:
         if nz.size and col[nz[0]] < 0:
             signs[j] = -1.0
     return signs
-
-
-def deterministic_svd(m: Array) -> tuple[Array, Array, Array]:
-    """Thin SVD with a fixed sign convention.
-
-    The first nonzero component of each left singular vector is made
-    positive (the right vector is flipped accordingly), so repeated runs on
-    identical input bits produce identical factors.
-    """
-    u, s, vt = np.linalg.svd(_as_float(m), full_matrices=False)
-    signs = _sign_fix_columns(u)
-    return u * signs, s, vt * signs[:, None]
 
 
 def empirical_cov(samples_a, samples_b, center: bool = True) -> Array:
@@ -102,24 +102,25 @@ def partial_cov(
     sigma_zz,
     sigma_zb,
     *,
-    rank_tol: float = DEFAULT_RANK_TOL,
     return_degenerate: bool = False,
 ):
     """Partial covariance Σ_{AB|Z} = Σ_{AB} − Σ_{AZ} Σ_{ZZ}⁻¹ Σ_{ZB}.
 
-    A singular Σ_{ZZ} (smallest eigenvalue below ``rank_tol`` relative to
-    the largest) falls back to the pseudo-inverse; with
+    A singular Σ_{ZZ} (smallest eigenvalue at most ``DEFAULT_RANK_TOL``
+    times the largest) falls back to the pseudo-inverse; with
     ``return_degenerate=True`` the function returns ``(matrix, flag)`` where
     the flag reports that fallback.
     """
-    solved, degenerate = solve_psd(_as_float(sigma_zz), _as_float(sigma_zb), rank_tol)
+    solved, degenerate = solve_psd(_as_float(sigma_zz), _as_float(sigma_zb))
     out = _as_float(sigma_ab) - _as_float(sigma_az) @ solved
     if return_degenerate:
         return out, degenerate
     return out
 
 
-def solve_psd(sigma: Array, rhs: Array, rank_tol: float) -> tuple[Array, bool]:
+def solve_psd(
+    sigma: Array, rhs: Array, rank_tol: float = DEFAULT_RANK_TOL
+) -> tuple[Array, bool]:
     """Solve Σ X = rhs for a symmetric PSD Σ; returns ``(X, degenerate)``.
 
     Σ is symmetrized first.  When its smallest eigenvalue is at most
@@ -148,10 +149,11 @@ def pinv(m, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
     return (vt[keep].T / s[keep]) @ u[:, keep].T
 
 
-def inv_sqrt(m, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
+def inv_sqrt(m) -> Array:
     """M^{−1/2} of a symmetric PSD matrix on its positive eigenspace.
 
-    Satisfies M^{−1/2} · M · M^{−1/2} = projector onto range(M).
+    Eigenvalues at most ``DEFAULT_RANK_TOL`` times the largest count as
+    zero.  Satisfies M^{−1/2} · M · M^{−1/2} = projector onto range(M).
     Raises on asymmetric input (tolerance 1e-10).
     """
     mat = _as_float(m)
@@ -163,7 +165,7 @@ def inv_sqrt(m, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
     top = max(evals.max(initial=0.0), 0.0)
     inv = np.zeros_like(evals)
     if top > 0.0:
-        keep = evals > rank_tol * top
+        keep = evals > DEFAULT_RANK_TOL * top
         inv[keep] = 1.0 / np.sqrt(evals[keep])
     return (vecs * inv) @ vecs.T
 
@@ -202,7 +204,7 @@ class CovarianceBlocks:
 
     The same container carries analytic population blocks and empirical
     estimates; every diagonal block is symmetric PSD and the assembled
-    joint matrix is PSD.
+    joint matrix is PSD.  Blocks are stored as finite float64 arrays.
     """
 
     sigma_x1x1: Array
@@ -214,18 +216,17 @@ class CovarianceBlocks:
 
     def __post_init__(self):
         d1, d2, k = self.d1, self.d2, self.k
-        shapes = {
-            "sigma_x1x1": (d1, d1),
-            "sigma_x1x2": (d1, d2),
-            "sigma_x1y": (d1, k),
-            "sigma_x2x2": (d2, d2),
-            "sigma_x2y": (d2, k),
-            "sigma_yy": (k, k),
-        }
-        for name, want in shapes.items():
-            got = np.shape(getattr(self, name))
-            if got != want:
-                raise ValueError(f"{name} has shape {got}, expected {want}")
+        _store_float_fields(
+            self,
+            {
+                "sigma_x1x1": (d1, d1),
+                "sigma_x1x2": (d1, d2),
+                "sigma_x1y": (d1, k),
+                "sigma_x2x2": (d2, d2),
+                "sigma_x2y": (d2, k),
+                "sigma_yy": (k, k),
+            },
+        )
 
     @property
     def d1(self) -> int:
@@ -241,27 +242,24 @@ class CovarianceBlocks:
 
     def joint(self) -> Array:
         """Assemble the full (d1+d2+k)-square covariance matrix."""
-        s12 = _as_float(self.sigma_x1x2)
-        s1y = _as_float(self.sigma_x1y)
-        s2y = _as_float(self.sigma_x2y)
         return np.block(
             [
-                [_as_float(self.sigma_x1x1), s12, s1y],
-                [s12.T, _as_float(self.sigma_x2x2), s2y],
-                [s1y.T, s2y.T, _as_float(self.sigma_yy)],
+                [self.sigma_x1x1, self.sigma_x1x2, self.sigma_x1y],
+                [self.sigma_x1x2.T, self.sigma_x2x2, self.sigma_x2y],
+                [self.sigma_x1y.T, self.sigma_x2y.T, self.sigma_yy],
             ]
         )
 
 
-def blocks_from_data(x1, x2, y, center: bool = True) -> CovarianceBlocks:
-    """Empirical :class:`CovarianceBlocks` from three sample matrices."""
+def blocks_from_data(x1, x2, y) -> CovarianceBlocks:
+    """Empirical centred :class:`CovarianceBlocks` from three sample matrices."""
     return CovarianceBlocks(
-        sigma_x1x1=empirical_cov(x1, x1, center),
-        sigma_x1x2=empirical_cov(x1, x2, center),
-        sigma_x1y=empirical_cov(x1, y, center),
-        sigma_x2x2=empirical_cov(x2, x2, center),
-        sigma_x2y=empirical_cov(x2, y, center),
-        sigma_yy=empirical_cov(y, y, center),
+        sigma_x1x1=empirical_cov(x1, x1),
+        sigma_x1x2=empirical_cov(x1, x2),
+        sigma_x1y=empirical_cov(x1, y),
+        sigma_x2x2=empirical_cov(x2, x2),
+        sigma_x2y=empirical_cov(x2, y),
+        sigma_yy=empirical_cov(y, y),
     )
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Array, CovarianceBlocks, _as_float
+from .linalg import Array, CovarianceBlocks, _as_float, _store_float_fields
 
 __all__ = [
     "DiscreteJoint",
@@ -77,7 +77,8 @@ class GaussianCISpec:
     """Linear-Gaussian two-view model X1 = M1·Y + ε1, X2 = M2·Y + ε2.
 
     Y ~ N(0, sigma_y), ε_i ~ N(0, noise_i²·I) independent, so the views
-    are conditionally independent given Y by construction.
+    are conditionally independent given Y by construction.  The arrays are
+    stored as finite float64 arrays.
     """
 
     d1: int
@@ -92,22 +93,22 @@ class GaussianCISpec:
     def __post_init__(self):
         if min(self.d1, self.d2, self.k) < 1:
             raise ValueError("dimensions must be >= 1")
-        if self.noise1 <= 0 or self.noise2 <= 0:
+        if not self.noise1 > 0 or not self.noise2 > 0:
             raise ValueError("noise scales must be positive")
-        if np.shape(self.m1) != (self.d1, self.k):
-            raise ValueError("m1 shape mismatch")
-        if np.shape(self.m2) != (self.d2, self.k):
-            raise ValueError("m2 shape mismatch")
-        if np.shape(self.sigma_y) != (self.k, self.k):
-            raise ValueError("sigma_y shape mismatch")
+        _store_float_fields(
+            self,
+            {
+                "m1": (self.d1, self.k),
+                "m2": (self.d2, self.k),
+                "sigma_y": (self.k, self.k),
+            },
+        )
 
 
 def gaussian_ci_population(spec: GaussianCISpec) -> CovarianceBlocks:
     """Analytic covariance blocks of the linear-Gaussian model."""
-    m1 = _as_float(spec.m1)
-    m2 = _as_float(spec.m2)
-    sy = _as_float(spec.sigma_y)
-    sy = (sy + sy.T) / 2.0
+    m1, m2 = spec.m1, spec.m2
+    sy = (spec.sigma_y + spec.sigma_y.T) / 2.0
     return CovarianceBlocks(
         sigma_x1x1=m1 @ sy @ m1.T + spec.noise1**2 * np.eye(spec.d1),
         sigma_x1x2=m1 @ sy @ m2.T,
@@ -128,10 +129,10 @@ def gaussian_ci_sample(spec: GaussianCISpec, n: int, seed: int) -> LabeledDatase
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = make_rng(seed)
-    root = _psd_sqrt(_as_float(spec.sigma_y))
+    root = _psd_sqrt(spec.sigma_y)
     y = rng.standard_normal((n, spec.k)) @ root.T
-    x1 = y @ _as_float(spec.m1).T + spec.noise1 * rng.standard_normal((n, spec.d1))
-    x2 = y @ _as_float(spec.m2).T + spec.noise2 * rng.standard_normal((n, spec.d2))
+    x1 = y @ spec.m1.T + spec.noise1 * rng.standard_normal((n, spec.d1))
+    x2 = y @ spec.m2.T + spec.noise2 * rng.standard_normal((n, spec.d2))
     return LabeledDataset(x1=x1, x2=x2, y=y, seed=seed)
 
 
@@ -160,7 +161,8 @@ class MixtureSpec:
     X̂2 ~ N(centers2[y], I), and X2 = (1−alpha)·X̂2 + alpha·X1 after padding
     X1 with zeros (d1 < d2) or truncating to its first d2 coordinates
     (d1 > d2).  alpha = 0 gives exact conditional independence given the
-    label; alpha = 1 makes X2 a deterministic function of X1.
+    label; alpha = 1 makes X2 a deterministic function of X1.  The centres
+    are stored as finite float64 arrays.
     """
 
     k: int
@@ -173,10 +175,9 @@ class MixtureSpec:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-        if np.shape(self.centers1) != (self.k, self.d1):
-            raise ValueError("centers1 shape mismatch")
-        if np.shape(self.centers2) != (self.k, self.d2):
-            raise ValueError("centers2 shape mismatch")
+        _store_float_fields(
+            self, {"centers1": (self.k, self.d1), "centers2": (self.k, self.d2)}
+        )
 
 
 def random_mixture_spec(
@@ -210,8 +211,8 @@ def mixture_sample(spec: MixtureSpec, n: int, seed: int) -> LabeledDataset:
         raise ValueError("n must be >= 1")
     rng = make_rng(seed)
     labels = rng.integers(0, spec.k, size=n)
-    x1 = _as_float(spec.centers1)[labels] + rng.standard_normal((n, spec.d1))
-    x2_hat = _as_float(spec.centers2)[labels] + rng.standard_normal((n, spec.d2))
+    x1 = spec.centers1[labels] + rng.standard_normal((n, spec.d1))
+    x2_hat = spec.centers2[labels] + rng.standard_normal((n, spec.d2))
     x2 = (1.0 - spec.alpha) * x2_hat + spec.alpha * _fit_width(x1, spec.d2)
     y = np.eye(spec.k)[labels]
     return LabeledDataset(x1=x1, x2=x2, y=y, seed=seed)
@@ -228,7 +229,7 @@ def mixture_posterior(spec: MixtureSpec, x1) -> Array:
     x = _as_float(x1)
     single = x.ndim == 1
     x = np.atleast_2d(x)
-    centers = _as_float(spec.centers1)
+    centers = spec.centers1
     logd = x @ centers.T
     logd -= 0.5 * np.einsum("kd,kd->k", centers, centers)
     logd -= logd.max(axis=1, keepdims=True)

@@ -46,7 +46,7 @@ class TopicModelSpec:
     """Topic model with word matrix ``a`` (V×k, columnwise stochastic),
     finite mixture prior (``tau_weights`` over ``tau_atoms`` on the
     simplex), even document length, downstream weights ``w`` and label
-    noise scale."""
+    noise scale.  The arrays are stored as finite float64 arrays."""
 
     a: Array
     tau_weights: Array
@@ -56,11 +56,11 @@ class TopicModelSpec:
     noise_sigma: float
 
     def __post_init__(self):
-        a = _as_float(self.a)
+        for name in ("a", "tau_weights", "tau_atoms", "w"):
+            object.__setattr__(self, name, _as_float(getattr(self, name)))
+        a, weights, atoms = self.a, self.tau_weights, self.tau_atoms
         if a.ndim != 2 or np.abs(a.sum(axis=0) - 1.0).max() > 1e-10 or a.min() < 0:
             raise ValueError("columns of a must be distributions")
-        weights = _as_float(self.tau_weights)
-        atoms = _as_float(self.tau_atoms)
         if abs(weights.sum() - 1.0) > 1e-10 or weights.min() < 0:
             raise ValueError("tau weights must be a distribution")
         if atoms.shape != (weights.size, a.shape[1]):
@@ -69,9 +69,9 @@ class TopicModelSpec:
             raise ValueError("tau atoms must lie on the simplex")
         if self.doc_len < 2 or self.doc_len % 2 != 0:
             raise ValueError("doc_len must be even and >= 2")
-        if np.shape(self.w) != (a.shape[1],):
+        if self.w.shape != (a.shape[1],):
             raise ValueError("w shape mismatch")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be nonnegative")
 
     @property
@@ -152,13 +152,12 @@ def build_bar_y(spec: TopicModelSpec) -> BarYModel:
     """Enumerate half-documents and build the latent-variable tables."""
     half = spec.doc_len // 2
     counts = _count_vectors(half, spec.vocab)
-    word_probs = _as_float(spec.tau_atoms) @ _as_float(spec.a).T  # m×V
+    word_probs = spec.tau_atoms @ spec.a.T  # m×V
     lik = np.exp(_multinomial_log_pmf(counts, word_probs))  # S×m
-    weights = _as_float(spec.tau_weights)
-    p_x1 = lik @ weights
-    atom_post = lik * weights[None, :] / p_x1[:, None]
-    p_ybar_given_x1 = atom_post @ _as_float(spec.tau_atoms)  # S×k
-    pure = np.exp(_multinomial_log_pmf(counts, _as_float(spec.a).T))  # S×k
+    p_x1 = lik @ spec.tau_weights
+    atom_post = lik * spec.tau_weights[None, :] / p_x1[:, None]
+    p_ybar_given_x1 = atom_post @ spec.tau_atoms  # S×k
+    pure = np.exp(_multinomial_log_pmf(counts, spec.a.T))  # S×k
     return BarYModel(
         counts=counts,
         p_x1=p_x1,
@@ -217,9 +216,7 @@ def verify_latent_construction(spec: TopicModelSpec) -> TopicReport:
     )
 
     # linearity: E[label | x1] vs wᵀ·(latent posterior)
-    w = _as_float(spec.w)
-    atoms = _as_float(spec.tau_atoms)
-    weights = _as_float(spec.tau_weights)
+    w, atoms, weights = spec.w, spec.tau_atoms, spec.tau_weights
     lik = model.likelihood  # S×m
     linearity_gap = 0.0
     direct = model.p_ybar_given_x1 @ w
@@ -235,9 +232,8 @@ def verify_latent_construction(spec: TopicModelSpec) -> TopicReport:
     gamma = (atoms.T * weights) @ atoms  # E[μ μᵀ]
     evals = np.linalg.eigvalsh((gamma + gamma.T) / 2.0)
     kappa = float(evals.max() / evals.min()) if evals.min() > 0 else float("inf")
-    a = _as_float(spec.a)
-    s_min_a = float(np.linalg.svd(a, compute_uv=False)[-1])
-    beta_inv_val = float(np.linalg.norm((w @ gamma)[None, :] @ pinv(a @ gamma), 2))
+    s_min_a = float(np.linalg.svd(spec.a, compute_uv=False)[-1])
+    beta_inv_val = float(np.linalg.norm((w @ gamma)[None, :] @ pinv(spec.a @ gamma), 2))
     beta_bound = kappa * float(np.linalg.norm(w)) / s_min_a
 
     passed = (
@@ -266,9 +262,7 @@ def sample_documents(spec: TopicModelSpec, n: int, seed: int) -> LabeledDataset:
         raise ValueError("n must be >= 1")
     rng = make_rng(seed)
     half = spec.doc_len // 2
-    weights = _as_float(spec.tau_weights)
-    atoms = _as_float(spec.tau_atoms)
-    a = _as_float(spec.a)
+    weights, atoms, a = spec.tau_weights, spec.tau_atoms, spec.a
     which = rng.choice(weights.size, size=n, p=weights)
     word_probs = atoms[which] @ a.T  # n×V
     c1 = rng.multinomial(half, word_probs)
@@ -283,6 +277,6 @@ def sample_documents(spec: TopicModelSpec, n: int, seed: int) -> LabeledDataset:
     loglik -= loglik.max(axis=1, keepdims=True)
     post = np.exp(loglik)
     post /= post.sum(axis=1, keepdims=True)
-    labels = (post @ atoms) @ _as_float(spec.w)
+    labels = (post @ atoms) @ spec.w
     y = labels[:, None] + spec.noise_sigma * rng.standard_normal((n, 1))
     return LabeledDataset(x1=x1, x2=x2, y=y, seed=seed)

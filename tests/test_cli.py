@@ -98,6 +98,41 @@ def test_load_config_parses_grids(tmp_path):
     assert config.alpha_grid == (0.0, 1.0)
 
 
+def test_load_config_empty_pca_means_none(tmp_path):
+    path = _write(tmp_path, "cfg.txt", "pca =\n")
+    assert load_config(path, {}).pca is None
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "d1 = 0",
+        "d2 = 0",
+        "k = 0",
+        "n1 = 0",
+        "n2 = 0",
+        "eval_n = 0",
+        "n2_grid = 250, 0",
+        "k_grid = 1, 2",
+        "alpha = 1.5",
+        "alpha = nan",
+        "alpha_grid = 0.0, -0.25",
+        "ridge = -1.0",
+        "ridge = nan",
+        "pca = 0",
+        "pca = 41",
+    ],
+)
+def test_out_of_range_config_exits_2_before_compute(tmp_path, capsys, line):
+    cfg = _write(tmp_path, "cfg.txt", f"experiment = mse-vs-k\ntrials = 1\n{line}\n")
+    with pytest.raises(ConfigError):
+        load_config(cfg, {})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # harness output
 

@@ -1,5 +1,6 @@
 """Synthetic data models: analytic blocks, sampling, determinism."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from sslci import (
     mixture_sample,
     random_gaussian_ci_spec,
     random_mixture_spec,
+    random_topic_spec,
 )
 from sslci.models import DiscreteJoint, make_rng
 
@@ -213,6 +215,54 @@ def test_mixture_posterior_builds_no_difference_tensor():
 def test_mixture_rejects_bad_alpha():
     with pytest.raises(ValueError):
         random_mixture_spec(2, 2, 2, alpha=1.5, seed=0)
+
+
+@pytest.mark.parametrize("field", ["noise1", "noise2"])
+def test_gaussian_spec_rejects_nan_noise(field):
+    spec = random_gaussian_ci_spec(3, 2, 2, seed=0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(spec, **{field: float("nan")})
+
+
+# ---------------------------------------------------------------------------
+# array fields are checked once, at construction
+
+SPEC_ARRAY_FIELDS = {
+    "CovarianceBlocks": (
+        "sigma_x1x1",
+        "sigma_x1x2",
+        "sigma_x1y",
+        "sigma_x2x2",
+        "sigma_x2y",
+        "sigma_yy",
+    ),
+    "MixtureSpec": ("centers1", "centers2"),
+    "GaussianCISpec": ("m1", "m2", "sigma_y"),
+    "TopicModelSpec": ("a", "tau_weights", "tau_atoms", "w"),
+}
+
+
+def _valid_specs() -> dict:
+    gaussian = random_gaussian_ci_spec(3, 2, 2, seed=0)
+    return {
+        "CovarianceBlocks": gaussian_ci_population(gaussian),
+        "MixtureSpec": random_mixture_spec(2, 3, 2, 0.0, seed=0),
+        "GaussianCISpec": gaussian,
+        "TopicModelSpec": random_topic_spec(4, 2, 3, 4, seed=0),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [(kind, field) for kind, names in SPEC_ARRAY_FIELDS.items() for field in names],
+)
+def test_spec_rejects_non_finite_array_field(kind, field):
+    valid = _valid_specs()[kind]
+    for bad in (np.nan, np.inf, -np.inf):
+        value = np.array(getattr(valid, field), dtype=np.float64)
+        value.flat[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(valid, **{field: value})
 
 
 # ---------------------------------------------------------------------------

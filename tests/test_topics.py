@@ -1,5 +1,7 @@
 """Topic-model latent-variable construction, verified by enumeration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import comb
@@ -68,6 +70,12 @@ def test_spec_rejects_off_simplex_atoms():
             w=np.zeros(2),
             noise_sigma=0.1,
         )
+
+
+def test_spec_rejects_nan_noise_sigma():
+    spec = random_topic_spec(4, 2, 3, 4, seed=0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(spec, noise_sigma=float("nan"))
 
 
 def test_random_spec_is_valid_and_deterministic():
