@@ -137,7 +137,8 @@ def _cmd_ace(args) -> int:
     print(
         f"ace sigmas (k={k}):",
         " ".join(f"{s:.6f}" for s in solution.sigmas),
-        f"converged={solution.converged} iters={solution.iterations}",
+        f"converged={solution.converged} iters={solution.iterations}"
+        f" residual={solution.residual:.1e}",
     )
     gap = float(np.abs(solution.sigmas - svals[1 : k + 1]).max())
     print(f"max |ace sigma - svd sigma| = {gap:.3e}")

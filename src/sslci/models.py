@@ -58,7 +58,6 @@ class LabeledDataset:
     x1: Array
     x2: Array | None = None
     y: Array | None = None
-    seed: int = 0
 
     def __post_init__(self):
         n = self.x1.shape[0]
@@ -133,7 +132,7 @@ def gaussian_ci_sample(spec: GaussianCISpec, n: int, seed: int) -> LabeledDatase
     y = rng.standard_normal((n, spec.k)) @ root.T
     x1 = y @ spec.m1.T + spec.noise1 * rng.standard_normal((n, spec.d1))
     x2 = y @ spec.m2.T + spec.noise2 * rng.standard_normal((n, spec.d2))
-    return LabeledDataset(x1=x1, x2=x2, y=y, seed=seed)
+    return LabeledDataset(x1=x1, x2=x2, y=y)
 
 
 def random_gaussian_ci_spec(d1: int, d2: int, k: int, seed: int) -> GaussianCISpec:
@@ -215,7 +214,7 @@ def mixture_sample(spec: MixtureSpec, n: int, seed: int) -> LabeledDataset:
     x2_hat = spec.centers2[labels] + rng.standard_normal((n, spec.d2))
     x2 = (1.0 - spec.alpha) * x2_hat + spec.alpha * _fit_width(x1, spec.d2)
     y = np.eye(spec.k)[labels]
-    return LabeledDataset(x1=x1, x2=x2, y=y, seed=seed)
+    return LabeledDataset(x1=x1, x2=x2, y=y)
 
 
 def mixture_posterior(spec: MixtureSpec, x1) -> Array:

@@ -279,4 +279,4 @@ def sample_documents(spec: TopicModelSpec, n: int, seed: int) -> LabeledDataset:
     post /= post.sum(axis=1, keepdims=True)
     labels = (post @ atoms) @ spec.w
     y = labels[:, None] + spec.noise_sigma * rng.standard_normal((n, 1))
-    return LabeledDataset(x1=x1, x2=x2, y=y, seed=seed)
+    return LabeledDataset(x1=x1, x2=x2, y=y)

@@ -103,6 +103,16 @@ def test_load_config_empty_pca_means_none(tmp_path):
     assert load_config(path, {}).pca is None
 
 
+def test_readme_config_block_loads_as_the_defaults(tmp_path):
+    # the key/default block under "### `sslci run`", saved as a config file
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### `sslci run`", 1)[1]
+    block = section.split("```\n", 2)[1]
+    assert "experiment = mse-vs-k" in block
+    path = _write(tmp_path, "readme.cfg", block)
+    assert load_config(path, {}) == ExperimentConfig()
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -411,6 +421,14 @@ def test_cli_ace(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ace sigmas" in out
     assert "eps_ci_tilde" in out
+
+
+def test_cli_ace_prints_residual(tmp_path, capsys):
+    joint = _write(tmp_path, "j.txt", JOINT_CI)
+    assert main(["ace", "--joint", joint, "--k", "2"]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if "ace sigmas" in l)
+    residual = float(line.split("residual=")[1].split()[0])
+    assert 0.0 <= residual < sslci.operators.ACE_TOL
 
 
 def test_cli_topic(tmp_path, capsys):

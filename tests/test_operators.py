@@ -15,6 +15,7 @@ from sslci import (
     maximal_correlation,
 )
 from sslci.models import make_rng
+from sslci.operators import ACE_TOL
 
 
 def _product_joint(d1: int, d2: int, seed: int) -> DiscreteJoint:
@@ -163,6 +164,38 @@ def test_ace_fit_matches_dense_svd():
         sol = ace_fit(joint, k=3)
         assert sol.converged
         assert np.abs(sol.sigmas - svals[1:4]).max() < 1e-8
+
+
+def _sin_max_angle(basis: np.ndarray, q: np.ndarray) -> float:
+    """Sine of the largest principal angle between two orthonormal bases."""
+    return float(np.linalg.norm(q - basis @ (basis.T @ q), 2))
+
+
+@pytest.mark.parametrize(
+    "sizes, seeds", [((12, 11, 3), range(100)), ((200, 200, 3), range(2))]
+)
+def test_ace_fit_spans_the_dense_singular_subspaces(sizes, seeds):
+    # ψ/η against the dense-SVD singular vectors of the weighted kernel: by
+    # Wedin's theorem the angle is at most residual / (σ_k − σ_{k+1})
+    k = 3
+    for seed in seeds:
+        joint = discrete_joint_random(sizes, seed=seed)
+        op = build_operator_t(joint)
+        u, s, vt = np.linalg.svd(op.weighted, full_matrices=False)
+        sol = ace_fit(joint, k=k)
+        root1, root2 = np.sqrt(op.d1)[:, None], np.sqrt(op.d2)[:, None]
+        psi_w, eta_w = sol.psi * root1, sol.eta * root2
+        m_def = op.weighted - root1 @ root2.T
+        residual = max(
+            np.linalg.norm(m_def @ eta_w - psi_w * sol.sigmas, axis=0).max(),
+            np.linalg.norm(m_def.T @ psi_w - eta_w * sol.sigmas, axis=0).max(),
+        )
+        assert sol.converged
+        assert sol.residual < ACE_TOL
+        assert abs(residual - sol.residual) < 1e-14
+        tol = 10.0 * (ACE_TOL + 1e-15) / (s[k] - s[k + 1])
+        assert _sin_max_angle(u[:, 1 : k + 1], psi_w) < tol, seed
+        assert _sin_max_angle(vt[1 : k + 1].T, eta_w) < tol, seed
 
 
 def test_ace_fit_orthonormal_in_weighted_geometry():
