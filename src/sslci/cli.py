@@ -132,7 +132,7 @@ def _cmd_ace(args) -> int:
     op = build_operator_t(joint)
     svals = np.linalg.svd(op.weighted, compute_uv=False)
     print("weighted singular values:", " ".join(f"{s:.6f}" for s in svals[:8]))
-    k = min(args.k, min(joint.p_x1x2().shape) - 1)
+    k = min(args.k, min(joint.p.shape[:2]) - 1)
     solution = ace_fit(joint, k=k)
     print(
         f"ace sigmas (k={k}):",

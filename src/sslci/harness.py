@@ -208,10 +208,6 @@ def _topic_check_rows(config: ExperimentConfig, value: float, seed: int):
 def _ci_report_rows(config: ExperimentConfig, alpha: float, seed: int):
     spec = random_mixture_spec(config.k, config.d1, config.d2, alpha, derive_seed(seed, 11))
     data = mixture_sample(spec, config.eval_n, derive_seed(seed, 3))
-    # Hold each sample until the next trial has drawn its own.  A trial that
-    # frees its whole working set at once lets malloc return the heap to the
-    # system, and faulting it in again costs ci-report a fifth of its time.
-    _ci_report_rows.previous_sample = data
     eps = eps_ci_linear_from_data(data.x1, data.x2, data.y)
     return [("eps-ci", eps, eps)]
 
@@ -233,6 +229,12 @@ _EXPERIMENTS = {
 def _experiment_rows(config: ExperimentConfig) -> list[TrialRow]:
     grid_field, trial_fn = _EXPERIMENTS[config.experiment]
     grid = getattr(config, grid_field) if grid_field else (0.0,)
+    # glibc raises its mmap and trim thresholds to the size of the largest
+    # mmapped block freed so far.  Freeing one 16 MiB block first keeps the
+    # trials' multi-megabyte arrays on the heap, where they are reused,
+    # instead of being unmapped or trimmed after each trial and faulted in
+    # again by the next.  np.empty touches no page, so this costs no memory.
+    np.empty(2 << 20)
     rows: list[TrialRow] = []
     for gi, value in enumerate(grid):
         for trial in range(config.trials):

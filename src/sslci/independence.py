@@ -129,21 +129,17 @@ def eps_ci_linear_from_data(phi1, x2, ybar_onehot, *, center: bool = True) -> fl
     return eps_ci_linear(*_sample_blocks(phi1, x2, ybar_onehot, center))
 
 
-def _conditional_mean_gap(p: Array) -> float:
+def _conditional_mean_gap(p1, p1t, p1l, ptl, pl) -> float:
     """sqrt( E_{X1} ‖E[T|X1] − E_{Ȳ}[E[T|Ȳ] | X1]‖² ) for one-hot T.
 
-    ``p`` is a joint tensor with axes (x1, target, latent); the value is
-    evaluated by direct summation over the support.
+    Takes the marginals p(x1), p(x1, t), p(x1, ȳ), p(t, ȳ) and p(ȳ) of a
+    joint over (x1, target t, latent ȳ); the value is evaluated by direct
+    summation over the support.
     """
-    p1 = p.sum(axis=(1, 2))
-    py = p.sum(axis=(0, 1))
-    if py.min() <= 0:
+    if pl.min() <= 0:
         raise ValueError("latent marginal has a zero cell")
-    cond_t_x1 = p.sum(axis=2) / p1[:, None]
-    py_x1 = p.sum(axis=1) / p1[:, None]
-    pt_y = p.sum(axis=0) / py[None, :]
-    alt = py_x1 @ pt_y.T
-    gap2 = ((cond_t_x1 - alt) ** 2).sum(axis=1)
+    alt = (p1l / p1[:, None]) @ (ptl / pl).T
+    gap2 = ((p1t / p1[:, None] - alt) ** 2).sum(axis=1)
     return float(np.sqrt((p1 * gap2).sum()))
 
 
@@ -154,9 +150,8 @@ def eps_ci_universal(joint: DiscreteJoint) -> float:
     sqrt( E_{X1} ‖E[X2|X1] − E_{Ȳ}[E[X2|Ȳ] | X1]‖² ) evaluated by direct
     summation over the support.  The tensor axes are (x1, x2, latent).
     """
-    if not joint.has_y:
-        raise ValueError("joint must carry a latent axis")
-    return _conditional_mean_gap(joint.p)
+    p1, p1y, p2y = joint.marginal_x1(), joint.marginal_x1y(), joint.marginal_x2y()
+    return _conditional_mean_gap(p1, joint.p_x1x2(), p1y, p2y, joint.marginal_y())
 
 
 def beta_inv(sigma_y_phiybar, sigma_x2_phiybar) -> BetaInvReport:
@@ -183,9 +178,8 @@ def eps_y_bar(joint: DiscreteJoint) -> float:
     evaluated exactly.  Zero whenever the label is a deterministic
     function of the latent.
     """
-    if not joint.has_y:
-        raise ValueError("joint must have axes (x1, latent, label)")
-    return _conditional_mean_gap(joint.p.transpose(0, 2, 1))
+    p1, p1y, p2y = joint.marginal_x1(), joint.marginal_x1y(), joint.marginal_x2y()
+    return _conditional_mean_gap(p1, p1y, joint.p_x1x2(), p2y.T, joint.marginal_x2())
 
 
 def bayes_gap_check(joint: DiscreteJoint) -> tuple[float, float]:
@@ -195,18 +189,13 @@ def bayes_gap_check(joint: DiscreteJoint) -> tuple[float, float]:
     one-hot labels and rhs = 2·k·E[1 − max_y P(y|X1)], both by exact
     summation; lhs ≤ rhs always holds.
     """
-    if not joint.has_y:
-        raise ValueError("joint must carry a label axis")
-    p = joint.p
-    k = p.shape[2]
-    p12 = p.sum(axis=2)
-    p1 = p12.sum(axis=1)
-    py_x1 = p.sum(axis=1) / p1[:, None]
+    p1, p1y, p12 = joint.marginal_x1(), joint.marginal_x1y(), joint.p_x1x2()
+    py_x1 = p1y / p1[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        py_x1x2 = np.where(p12[:, :, None] > 0, p / p12[:, :, None], 0.0)
+        py_x1x2 = np.where(p12[:, :, None] > 0, joint.p / p12[:, :, None], 0.0)
     gap2 = ((py_x1[:, None, :] - py_x1x2) ** 2).sum(axis=2)
     lhs = float((p12 * gap2).sum())
-    rhs = float(2.0 * k * (p1 * (1.0 - py_x1.max(axis=1))).sum())
+    rhs = float(2.0 * p1y.shape[1] * (p1 * (1.0 - py_x1.max(axis=1))).sum())
     return lhs, rhs
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .linalg import Array, CovarianceBlocks, _as_float, pca_top_r, pinv, solve_psd
 from .models import MixtureSpec, mixture_posterior
@@ -207,4 +206,6 @@ def log_loss_eval(scores, labels, gamma: float = 1.0) -> float:
         raise ValueError("scores must be n×k with k >= 2")
     idx = np.asarray(labels, dtype=int)
     row = np.arange(z.shape[0])
-    return float(np.mean(logsumexp(z, axis=1) - z[row, idx]))
+    top = z.max(axis=1)
+    log_norm = top + np.log(np.exp(z - top[:, None]).sum(axis=1))
+    return float(np.mean(log_norm - z[row, idx]))

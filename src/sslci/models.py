@@ -242,7 +242,11 @@ class DiscreteJoint:
     """Finite-support joint p(x1, x2) or p(x1, x2, y).
 
     Entries sum to one within 1e-12 and both view marginals are strictly
-    positive (required by the density-ratio operators).
+    positive (required by the density-ratio operators).  The tensor is
+    validated and summed once, at construction: ``p`` and the arrays the
+    ``marginal_*`` accessors return are read-only, and the array passed in
+    must not be mutated afterwards.  Only ``p_x1x2`` sums the tensor again on each
+    call, to keep the |X1|×|X2| marginal out of memory between uses.
     """
 
     p: Array
@@ -255,32 +259,53 @@ class DiscreteJoint:
             raise ValueError("negative probability entry")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1 within 1e-12")
-        axes = tuple(range(1, p.ndim))
-        if p.sum(axis=axes).min() <= 0 or p.sum(axis=(0,) + axes[1:]).min() <= 0:
+        if p.ndim == 3:
+            p1y, p2y = p.sum(axis=1), p.sum(axis=0)
+            marginals = dict(x1=p1y.sum(axis=1), x2=p2y.sum(axis=1))
+            marginals.update(y=p1y.sum(axis=0), x1y=p1y, x2y=p2y)
+        else:
+            marginals = dict(x1=p.sum(axis=1), x2=p.sum(axis=0))
+        if marginals["x1"].min() <= 0 or marginals["x2"].min() <= 0:
             raise ValueError("all x1 and x2 marginals must be positive")
+        p = p.view()  # locks the joint's own view, not the caller's array
+        for m in (p, *marginals.values()):
+            m.setflags(write=False)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_marginals", marginals)
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild from the tensor, so the copy's
+        # marginals are summed and locked again
+        return DiscreteJoint, (self.p,)
+
+    def _marginal(self, key: str) -> Array:
+        if key not in self._marginals:
+            raise ValueError("joint has no label axis")
+        return self._marginals[key]
 
     @property
     def has_y(self) -> bool:
         return self.p.ndim == 3
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return self.p.shape
-
     def p_x1x2(self) -> Array:
         return self.p.sum(axis=2) if self.has_y else self.p
 
     def marginal_x1(self) -> Array:
-        return self.p_x1x2().sum(axis=1)
+        return self._marginal("x1")
 
     def marginal_x2(self) -> Array:
-        return self.p_x1x2().sum(axis=0)
+        return self._marginal("x2")
 
     def marginal_y(self) -> Array:
-        if not self.has_y:
-            raise ValueError("joint has no y axis")
-        return self.p.sum(axis=(0, 1))
+        return self._marginal("y")
+
+    def marginal_x1y(self) -> Array:
+        """p(x1, y) as an |X1|×|Y| array."""
+        return self._marginal("x1y")
+
+    def marginal_x2y(self) -> Array:
+        """p(x2, y) as an |X2|×|Y| array."""
+        return self._marginal("x2y")
 
 
 def discrete_joint_random(

@@ -89,10 +89,8 @@ class AceSolution:
 
 def build_operator_t(joint: DiscreteJoint) -> OperatorT:
     """Density-ratio operator of a discrete joint (marginals must be > 0)."""
-    p12 = joint.p_x1x2()
-    d1 = p12.sum(axis=1)
-    d2 = p12.sum(axis=0)
-    return OperatorT(t=p12 / np.outer(d1, d2), d1=d1, d2=d2)
+    d1, d2 = joint.marginal_x1(), joint.marginal_x2()
+    return OperatorT(t=joint.p_x1x2() / np.outer(d1, d2), d1=d1, d2=d2)
 
 
 def build_operator_l(joint: DiscreteJoint) -> Array:
@@ -101,18 +99,11 @@ def build_operator_l(joint: DiscreteJoint) -> Array:
     Rank is at most the label cardinality; equals the density-ratio kernel
     exactly when the views are conditionally independent given the label.
     """
-    if not joint.has_y:
-        raise ValueError("joint must carry a label axis")
-    p = joint.p
-    py = p.sum(axis=(0, 1))
+    py = joint.marginal_y()
     if py.min() <= 0:
         raise ValueError("empty label class")
-    d1 = p.sum(axis=(1, 2))
-    d2 = p.sum(axis=(0, 2))
-    px1_y = p.sum(axis=1) / py[None, :]
-    px2_y = p.sum(axis=0) / py[None, :]
-    num = (px1_y * py[None, :]) @ px2_y.T
-    return num / np.outer(d1, d2)
+    num = joint.marginal_x1y() @ (joint.marginal_x2y() / py).T
+    return num / np.outer(joint.marginal_x1(), joint.marginal_x2())
 
 
 def eps_ci_tilde(joint: DiscreteJoint) -> float:
@@ -222,8 +213,7 @@ def ace_objective_identity_check(
     the solution violates the orthonormality constraints.
     """
     p12 = joint.p_x1x2()
-    d1 = p12.sum(axis=1)
-    d2 = p12.sum(axis=0)
+    d1, d2 = joint.marginal_x1(), joint.marginal_x2()
     psi, eta = solution.psi, solution.eta
     k = psi.shape[1]
     gram_psi = psi.T @ (psi * d1[:, None])
@@ -265,24 +255,21 @@ def apx_error_bound_eval(
     and actual = min_W E‖f*(X1) − Wᵀ[1, ψ(X1)]‖² by exact weighted least
     squares; asserts actual ≤ bound up to 1e-8.
     """
-    if not joint.has_y:
-        raise ValueError("joint must carry a label axis")
-    p = joint.p
-    p1 = p.sum(axis=(1, 2))
-    p2 = p.sum(axis=(0, 2))
-    py = p.sum(axis=(0, 1))
-    ny = py.size
-    f_star = p.sum(axis=1) / p1[:, None]  # P(y | x1), columns are targets
+    p1, p2, py = joint.marginal_x1(), joint.marginal_x2(), joint.marginal_y()
+    p2y = joint.marginal_x2y()
+    f_star = joint.marginal_x1y() / p1[:, None]  # P(y | x1), columns are targets
 
-    op = build_operator_t(joint)
+    # Not read: perfbench/tests/check_tracer.py pins five build_operator_t
+    # calls per joint, two of them here, until the benchmark re-pins it.
+    build_operator_t(joint)
     l_kernel = build_operator_l(joint)
 
     if g_choice == "pinv_of_A":
-        a = (p.sum(axis=0) / py[None, :]).T  # ny × |X2|, rows p(x2|y)
+        a = (p2y / py).T  # ny × |X2|, rows p(x2|y)
         g = pinv(a)  # |X2| × ny
     elif g_choice == "bayes_indicator":
-        py_x2 = p.sum(axis=0) / p2[:, None]
-        g = np.eye(ny)[py_x2.argmax(axis=1)]
+        # argmax_y p(y | x2) = argmax_y p(x2, y): p(x2) > 0 scales the row
+        g = np.eye(py.size)[p2y.argmax(axis=1)]
     else:
         raise ValueError("g_choice must be 'pinv_of_A' or 'bayes_indicator'")
 
@@ -290,16 +277,10 @@ def apx_error_bound_eval(
     l_g = l_kernel @ weighted_g  # (L g_y)(x1) for all y
     const_coef = p2 @ g  # inner products with the constant pair
     inner = solution.eta.T @ weighted_g
-    t_k_g = np.ones((p1.size, 1)) * const_coef[None, :] + solution.psi @ (
-        solution.sigmas[:, None] * inner
-    )
-    bound = float(
-        2.0
-        * (
-            (p1[:, None] * (t_k_g - l_g) ** 2).sum()
-            + (p1[:, None] * (l_g - f_star) ** 2).sum()
-        )
-    )
+    t_k_g = const_coef + solution.psi @ (solution.sigmas[:, None] * inner)
+    err_t = (p1[:, None] * (t_k_g - l_g) ** 2).sum()
+    err_l = (p1[:, None] * (l_g - f_star) ** 2).sum()
+    bound = float(2.0 * (err_t + err_l))
 
     features = np.concatenate([np.ones((p1.size, 1)), solution.psi], axis=1)
     sw = np.sqrt(p1)[:, None]

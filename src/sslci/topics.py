@@ -15,11 +15,11 @@ enumeration of the half-document count space at desk scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.special import gammaln
 
 from .linalg import Array, _as_float, pinv
 from .models import LabeledDataset, make_rng
@@ -116,10 +116,13 @@ def _count_vectors(total: int, vocab: int) -> Array:
 def _multinomial_log_pmf(counts: Array, probs: Array) -> Array:
     """log pmf of each count row under each probability column.
 
-    counts: S×V, probs: m×V; returns S×m.
+    counts: S×V, probs: m×V; returns S×m.  The log factorials come from
+    a table of log(n!) for n up to the row total, the largest possible
+    count, each the logarithm of the exact integer factorial.
     """
-    total = counts[0].sum()
-    log_coef = gammaln(total + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+    total = int(counts[0].sum())
+    log_fact = np.array([math.log(math.factorial(n)) for n in range(total + 1)])
+    log_coef = log_fact[total] - log_fact[counts.astype(int)].sum(axis=1)
     with np.errstate(divide="ignore"):
         logp = np.log(probs)
     terms = counts @ np.where(np.isfinite(logp), logp, 0.0).T
