@@ -1,7 +1,9 @@
 """Experiment configuration: flat key=value files plus CLI overrides.
 
-Precedence is CLI flag > config file > built-in default.  Grids are
-comma-separated lists; an empty ``pca`` value means no truncation.
+Precedence is CLI flag > config file > built-in default.  A key's type is
+the type of its default: a grid is a comma-separated list of the type of
+its first entry, a flag is 1/true/yes or 0/false/no in any case, and
+``pca``, the one exception, is an integer or empty for no truncation.
 Unknown keys and out-of-range values are a usage error, raised before any
 compute.
 """
@@ -74,36 +76,23 @@ class ExperimentConfig:
             raise ConfigError("pca must be in [1, min(d1, d2)]")
 
 
-_INT_KEYS = {"d1", "d2", "n1", "n2", "k", "trials", "seed", "pca", "eval_n"}
-_FLOAT_KEYS = {"alpha", "ridge"}
-_GRID_INT_KEYS = {"k_grid", "n2_grid"}
-_GRID_FLOAT_KEYS = {"alpha_grid"}
-_STR_KEYS = {"experiment", "output_dir"}
-_BOOL_KEYS = {"plot"}
-_ALL_KEYS = (
-    _INT_KEYS | _FLOAT_KEYS | _GRID_INT_KEYS | _GRID_FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS
-)
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def _parse_value(key: str, raw: str):
+    default = _DEFAULTS[key]
     try:
-        if key == "pca" and not raw:
-            return None
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _GRID_INT_KEYS:
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        if key in _GRID_FLOAT_KEYS:
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        if key in _BOOL_KEYS:
+        if key == "pca":
+            return int(raw) if raw else None
+        if isinstance(default, bool):
             if raw.lower() in ("1", "true", "yes"):
                 return True
             if raw.lower() in ("0", "false", "no"):
                 return False
             raise ValueError(raw)
-        return raw
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(v) for v in raw.split(",") if v.strip())
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for '{key}': {raw!r}") from exc
 
@@ -128,7 +117,7 @@ def parse_config_file(path: str | Path) -> dict:
     """Read key=value lines; '#' starts a comment; blank lines ignored."""
     values: dict = {}
     for lineno, key, raw in _read_key_values(path):
-        if key not in _ALL_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         values[key] = _parse_value(key, raw)
     return values
@@ -144,9 +133,7 @@ def load_config(
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _ALL_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"unknown option '{key}'")
         values[key] = value
-    known = {f.name for f in fields(ExperimentConfig)}
-    assert set(values) <= known
     return ExperimentConfig(**values)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +69,8 @@ class TrialRow:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Echo of the config plus all rows and the elapsed wall time."""
+    """All rows, the elapsed wall time and the paths of the written CSVs."""
 
-    config: ExperimentConfig
     rows: tuple[TrialRow, ...]
     wall_time: float
     results_path: Path
@@ -254,53 +253,27 @@ def _experiment_rows(config: ExperimentConfig) -> list[TrialRow]:
     return rows
 
 
-def _write_results_csv(path: Path, rows: list[TrialRow]) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["experiment", "grid_value", "trial", "method", "mse", "eps_ci", "seed"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.experiment,
-                    repr(row.grid_value),
-                    row.trial,
-                    row.method,
-                    repr(row.mse),
-                    repr(row.eps_ci),
-                    row.seed,
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def summarize(rows: list[TrialRow]) -> list[tuple[str, float, str, float, float]]:
     """Per (grid point, method): mean and standard error of the MSE."""
     groups: dict[tuple[float, str], list[float]] = {}
-    order: list[tuple[float, str]] = []
     for row in rows:
-        key = (row.grid_value, row.method)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row.mse)
+        groups.setdefault((row.grid_value, row.method), []).append(row.mse)
     out = []
-    for grid_value, method in order:
-        values = np.asarray(groups[(grid_value, method)])
+    for (grid_value, method), mses in groups.items():
+        values = np.asarray(mses)
         mean = float(values.mean())
         stderr = (
             float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
         )
         out.append((rows[0].experiment, grid_value, method, mean, stderr))
     return out
-
-
-def _write_summary_csv(path: Path, rows: list[TrialRow]) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["experiment", "grid_value", "method", "mean", "stderr"])
-        for experiment, grid_value, method, mean, stderr in summarize(rows):
-            writer.writerow([experiment, repr(grid_value), method, repr(mean), repr(stderr)])
 
 
 def write_line_plot_svg(path: Path, rows: list[TrialRow], title: str) -> None:
@@ -366,12 +339,15 @@ def run(config: ExperimentConfig) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
     summary_path = out_dir / "summary.csv"
-    _write_results_csv(results_path, rows)
-    _write_summary_csv(summary_path, rows)
+    _write_csv(results_path, [f.name for f in fields(TrialRow)], map(astuple, rows))
+    _write_csv(
+        summary_path,
+        ["experiment", "grid_value", "method", "mean", "stderr"],
+        summarize(rows),
+    )
     if config.plot:
         write_line_plot_svg(out_dir / "plot.svg", rows, config.experiment)
     return RunResult(
-        config=config,
         rows=tuple(rows),
         wall_time=time.perf_counter() - start,
         results_path=results_path,

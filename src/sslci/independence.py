@@ -12,9 +12,10 @@ given a (possibly latent) discrete variable:
 - ``bayes_gap_check``: gap between predicting from one view versus both,
   bounded by the Bayes error of the single-view problem.
 
-Every quantity accepts analytic covariance blocks or raw samples (via the
-``*_from_data`` helpers), mirroring the population/sample duality of the
-underlying theory.
+``eps_ci_linear`` and ``beta_inv`` take covariance blocks, analytic or
+estimated, and the ``*_from_data`` helpers take raw samples;
+``eps_ci_universal``, ``eps_y_bar`` and ``bayes_gap_check`` sum exactly over
+a finite-support :class:`~sslci.models.DiscreteJoint`.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    DEFAULT_RANK_TOL,
     Array,
     CovarianceBlocks,
     _as_float,
+    _kept,
     empirical_cov,
     inv_sqrt,
     partial_cov,
@@ -165,7 +166,7 @@ def beta_inv(sigma_y_phiybar, sigma_x2_phiybar) -> BetaInvReport:
     sy = np.atleast_2d(_as_float(sigma_y_phiybar))
     sx = np.atleast_2d(_as_float(sigma_x2_phiybar))
     svals = np.linalg.svd(sx, compute_uv=False)
-    rank = int((svals > DEFAULT_RANK_TOL * svals.max(initial=0.0)).sum())
+    rank = int(_kept(svals).sum())
     value = float(np.linalg.norm(sy @ pinv(sx), 2))
     return BetaInvReport(value=value, rank=rank, degenerate=rank < sx.shape[1])
 

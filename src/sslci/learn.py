@@ -171,12 +171,8 @@ def fit_downstream(
 
 def _risk(fit: DownstreamFit, rep, f_star, eval_x1, half: bool) -> float:
     x = _as_float(eval_x1)
-    pred = fit.predict(rep(x))
-    target = np.atleast_2d(_as_float(f_star(x)))
-    if target.shape[0] == 1 and pred.shape[0] != 1:
-        target = target.T
-    if pred.ndim == 1:
-        pred = pred[:, None]
+    pred = fit.predict(rep(x)).reshape(x.shape[0], -1)
+    target = _as_float(f_star(x)).reshape(x.shape[0], -1)
     gap = ((target - pred) ** 2).sum(axis=1).mean()
     return float(0.5 * gap if half else gap)
 

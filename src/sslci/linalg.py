@@ -54,6 +54,19 @@ def _store_float_fields(obj, shapes: dict[str, tuple[int, ...]]) -> None:
         object.__setattr__(obj, name, value)
 
 
+def _kept(values: Array, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
+    """Mask of the values above ``rank_tol`` times the largest; none if that is <= 0."""
+    return values > rank_tol * values.max(initial=0.0)
+
+
+def _softmax_rows(z: Array) -> Array:
+    """Softmax of each row of a 2-d float array, computed in place."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
 def _sign_fix_columns(m: Array) -> Array:
     """Signs making the first nonzero component of each column positive."""
     signs = np.ones(m.shape[1])
@@ -128,9 +141,8 @@ def solve_psd(
     the pseudo-inverse and ``degenerate`` is True.
     """
     sym = (sigma + sigma.T) / 2.0
-    evals = np.linalg.eigvalsh(sym)
-    top = evals.max(initial=0.0)
-    if top == 0.0 or evals.min() <= rank_tol * top:
+    keep = _kept(np.linalg.eigvalsh(sym), rank_tol)
+    if not keep.all() or keep.size == 0:
         return pinv(sym, rank_tol) @ rhs, True
     return np.linalg.solve(sym, rhs), False
 
@@ -143,9 +155,7 @@ def pinv(m, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
     """
     mat = np.atleast_2d(_as_float(m))
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((mat.shape[1], mat.shape[0]))
-    keep = s > rank_tol * s[0]
+    keep = _kept(s, rank_tol)
     return (vt[keep].T / s[keep]) @ u[:, keep].T
 
 
@@ -162,11 +172,9 @@ def inv_sqrt(m) -> Array:
     if not np.allclose(mat, mat.T, atol=1e-10):
         raise ValueError("matrix must be symmetric")
     evals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
-    top = max(evals.max(initial=0.0), 0.0)
+    keep = _kept(evals)
     inv = np.zeros_like(evals)
-    if top > 0.0:
-        keep = evals > DEFAULT_RANK_TOL * top
-        inv[keep] = 1.0 / np.sqrt(evals[keep])
+    inv[keep] = 1.0 / np.sqrt(evals[keep])
     return (vecs * inv) @ vecs.T
 
 
@@ -185,13 +193,11 @@ def pca_top_r(samples, r: int) -> tuple[Array, Array]:
     if not 1 <= r <= d:
         raise ValueError(f"r must be in [1, {d}], got {r}")
     _, s, vt = np.linalg.svd((x - x.mean(axis=0)) / np.sqrt(n), full_matrices=False)
-    proj = vt.T[:, :r] if vt.shape[0] >= r else np.hstack(
-        [vt.T, np.zeros((d, r - vt.shape[0]))]
-    )
-    # complete with an orthonormal basis when n-1 < r leaves missing columns
-    if vt.shape[0] < r:
-        q, _ = np.linalg.qr(np.eye(d) - proj @ proj.T)
-        proj[:, vt.shape[0]:] = q[:, : r - vt.shape[0]]
+    proj = vt.T[:, :r]
+    if proj.shape[1] < r:
+        # fewer samples than r: QR of [proj, I] extends proj to an orthonormal basis
+        q, _ = np.linalg.qr(np.hstack([proj, np.eye(d)]))
+        proj = np.hstack([proj, q[:, proj.shape[1] : r]])
     proj = proj * _sign_fix_columns(proj)
     spectrum = np.zeros(r)
     spectrum[: min(r, s.size)] = s[:r]
@@ -281,8 +287,7 @@ def gaussian_conditionals_from_precision(
     """
     joint = blocks.joint()
     sym = (joint + joint.T) / 2.0
-    evals = np.linalg.eigvalsh(sym)
-    if evals.min() <= DEFAULT_RANK_TOL * max(evals.max(), 0.0):
+    if not _kept(np.linalg.eigvalsh(sym)).all():
         raise ValueError("joint covariance is singular")
     prec = np.linalg.inv(sym)
     d1, d2 = blocks.d1, blocks.d2

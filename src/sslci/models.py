@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Array, CovarianceBlocks, _as_float, _store_float_fields
+from .linalg import Array, CovarianceBlocks, _as_float, _softmax_rows, _store_float_fields
 
 __all__ = [
     "DiscreteJoint",
@@ -53,17 +53,17 @@ def derive_seed(*keys: int) -> int:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Row-aligned sample blocks: views x1/x2 and optional labels y."""
+    """Row-aligned sample blocks: views x1/x2 and labels y."""
 
     x1: Array
-    x2: Array | None = None
-    y: Array | None = None
+    x2: Array
+    y: Array
 
     def __post_init__(self):
         n = self.x1.shape[0]
         for name in ("x2", "y"):
             block = getattr(self, name)
-            if block is not None and block.shape[0] != n:
+            if block.shape[0] != n:
                 raise ValueError(f"{name} has {block.shape[0]} rows, expected {n}")
 
     @property
@@ -231,9 +231,7 @@ def mixture_posterior(spec: MixtureSpec, x1) -> Array:
     centers = spec.centers1
     logd = x @ centers.T
     logd -= 0.5 * np.einsum("kd,kd->k", centers, centers)
-    logd -= logd.max(axis=1, keepdims=True)
-    post = np.exp(logd, out=logd)
-    post /= post.sum(axis=1, keepdims=True)
+    post = _softmax_rows(logd)
     return post[0] if single else post
 
 

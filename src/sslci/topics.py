@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .linalg import Array, _as_float, pinv
+from .linalg import Array, _as_float, _softmax_rows, pinv
 from .models import LabeledDataset, make_rng
 
 __all__ = [
@@ -277,9 +277,6 @@ def sample_documents(spec: TopicModelSpec, n: int, seed: int) -> LabeledDataset:
         log_word = np.log(atoms @ a.T)
     log_word = np.where(np.isfinite(log_word), log_word, -1e300)
     loglik = full @ log_word.T + np.log(weights)[None, :]
-    loglik -= loglik.max(axis=1, keepdims=True)
-    post = np.exp(loglik)
-    post /= post.sum(axis=1, keepdims=True)
-    labels = (post @ atoms) @ spec.w
+    labels = (_softmax_rows(loglik) @ atoms) @ spec.w
     y = labels[:, None] + spec.noise_sigma * rng.standard_normal((n, 1))
     return LabeledDataset(x1=x1, x2=x2, y=y)

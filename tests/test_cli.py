@@ -103,6 +103,35 @@ def test_load_config_empty_pca_means_none(tmp_path):
     assert load_config(path, {}).pca is None
 
 
+@pytest.mark.parametrize(
+    "raw, expected",
+    [("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False)],
+)
+def test_load_config_parses_plot_flag(tmp_path, raw, expected):
+    path = _write(tmp_path, "cfg.txt", f"plot = {raw}\n")
+    assert load_config(path, {}).plot is expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("plot = maybe\n", "bad value for 'plot'"),
+        ("trials = 0\n", "trials must be >= 1"),
+        ("k_grid = ,\n", "k_grid must be nonempty"),
+        ("seed = 1\njust a line\n", "cfg.txt:2: expected key=value"),
+    ],
+)
+def test_load_config_rejects_bad_file_line(tmp_path, text, message):
+    path = _write(tmp_path, "cfg.txt", text)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path, {})
+
+
+def test_load_config_rejects_unknown_override():
+    with pytest.raises(ConfigError, match="unknown option 'nope'"):
+        load_config(None, {"nope": 1})
+
+
 def test_readme_config_block_loads_as_the_defaults(tmp_path):
     # the key/default block under "### `sslci run`", saved as a config file
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -283,6 +283,20 @@ def test_excess_risk_population_head_exact_ci():
     assert excess_risk(fit, rep, lambda v: v @ f_map.T, x) <= 1e-10
 
 
+def test_risk_with_one_dimensional_labels():
+    x = make_rng(19).standard_normal((40, 3))
+    w = np.array([1.0, -2.0, 0.5])
+    rep = LinearRepresentation(b=np.eye(3))
+    fit = fit_downstream(x, x @ w)
+    assert fit.w_hat.shape == (3,)
+
+    def shifted(v):
+        return v @ w + 1.0
+
+    assert excess_risk(fit, rep, shifted, x) == pytest.approx(0.5)
+    assert mean_squared_error(fit, rep, shifted, x[:1]) == pytest.approx(1.0)
+
+
 def test_mse_is_twice_excess_risk():
     spec = random_mixture_spec(2, 3, 3, alpha=0.0, seed=16)
     data = mixture_sample(spec, 500, seed=17)

@@ -233,6 +233,22 @@ def test_pca_full_rank_orthogonal():
     assert np.all(np.diff(spectrum) <= 1e-12)
 
 
+@pytest.mark.parametrize(
+    "samples, r",
+    [
+        (make_rng(14).standard_normal((3, 6)), 5),
+        # axis-aligned samples: the principal direction is a standard basis vector
+        (np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]), 3),
+    ],
+)
+def test_pca_completes_basis_when_samples_are_fewer_than_r(samples, r):
+    n, d = samples.shape
+    proj, spectrum = pca_top_r(samples, r)
+    assert proj.shape == (d, r)
+    assert np.abs(proj.T @ proj - np.eye(r)).max() < 1e-12
+    assert np.all(spectrum[n:] == 0)
+
+
 def test_pca_r_too_large():
     with pytest.raises(ValueError):
         pca_top_r(np.zeros((5, 3)), 4)
