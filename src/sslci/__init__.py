@@ -4,136 +4,18 @@ Provides closed-form pretext/downstream estimators for tractable generative
 models, conditional-independence diagnostics, an alternating conditional
 expectation (ACE) solver on finite supports, a topic-model instantiation,
 and a CLI harness for seeded simulation studies.
+
+Every name in the ``__all__`` of a library module below is importable from
+here; that list is the one place that makes a name public.
 """
 
-from .linalg import (
-    CovarianceBlocks,
-    blocks_from_data,
-    empirical_cov,
-    gaussian_conditionals_from_precision,
-    inv_sqrt,
-    partial_cov,
-    pca_top_r,
-    pinv,
-)
-from .models import (
-    DiscreteJoint,
-    GaussianCISpec,
-    LabeledDataset,
-    MixtureSpec,
-    derive_seed,
-    discrete_joint_random,
-    gaussian_ci_population,
-    gaussian_ci_sample,
-    make_rng,
-    mixture_posterior,
-    mixture_sample,
-    random_gaussian_ci_spec,
-    random_mixture_spec,
-)
-from .learn import (
-    DownstreamFit,
-    LinearRepresentation,
-    closed_form_f_gaussian,
-    closed_form_psi_gaussian,
-    closed_form_psi_mixture,
-    excess_risk,
-    fit_downstream,
-    fit_pretext_linear,
-    log_loss_eval,
-    mean_squared_error,
-    mixture_target,
-    optimal_downstream_map,
-)
-from .independence import (
-    BetaInvReport,
-    CIReport,
-    bayes_gap_check,
-    beta_inv,
-    ci_report_from_data,
-    eps_ci_linear,
-    eps_ci_linear_from_data,
-    eps_ci_universal,
-    eps_y_bar,
-    spectrum_conditional,
-)
-from .operators import (
-    AceSolution,
-    OperatorT,
-    ace_fit,
-    ace_objective_identity_check,
-    apx_error_bound_eval,
-    build_operator_l,
-    build_operator_t,
-    eps_ci_tilde,
-    maximal_correlation,
-)
-from .topics import (
-    TopicModelSpec,
-    TopicReport,
-    build_bar_y,
-    random_topic_spec,
-    sample_documents,
-    verify_latent_construction,
-)
+from . import independence, learn, linalg, models, operators, topics
+from .linalg import *  # noqa: F403
+from .models import *  # noqa: F403
+from .learn import *  # noqa: F403
+from .independence import *  # noqa: F403
+from .operators import *  # noqa: F403
+from .topics import *  # noqa: F403
 
-__all__ = [
-    "AceSolution",
-    "BetaInvReport",
-    "CIReport",
-    "CovarianceBlocks",
-    "DiscreteJoint",
-    "DownstreamFit",
-    "GaussianCISpec",
-    "LabeledDataset",
-    "LinearRepresentation",
-    "MixtureSpec",
-    "OperatorT",
-    "TopicModelSpec",
-    "TopicReport",
-    "ace_fit",
-    "ace_objective_identity_check",
-    "apx_error_bound_eval",
-    "bayes_gap_check",
-    "beta_inv",
-    "blocks_from_data",
-    "build_bar_y",
-    "build_operator_l",
-    "build_operator_t",
-    "ci_report_from_data",
-    "closed_form_f_gaussian",
-    "closed_form_psi_gaussian",
-    "closed_form_psi_mixture",
-    "derive_seed",
-    "discrete_joint_random",
-    "empirical_cov",
-    "eps_ci_linear",
-    "eps_ci_linear_from_data",
-    "eps_ci_tilde",
-    "eps_ci_universal",
-    "eps_y_bar",
-    "excess_risk",
-    "fit_downstream",
-    "fit_pretext_linear",
-    "gaussian_ci_population",
-    "gaussian_ci_sample",
-    "gaussian_conditionals_from_precision",
-    "inv_sqrt",
-    "log_loss_eval",
-    "make_rng",
-    "maximal_correlation",
-    "mean_squared_error",
-    "mixture_posterior",
-    "mixture_sample",
-    "mixture_target",
-    "optimal_downstream_map",
-    "partial_cov",
-    "pca_top_r",
-    "pinv",
-    "random_gaussian_ci_spec",
-    "random_mixture_spec",
-    "random_topic_spec",
-    "sample_documents",
-    "spectrum_conditional",
-    "verify_latent_construction",
-]
+_LIBRARY = (linalg, models, learn, independence, operators, topics)
+__all__ = [name for module in _LIBRARY for name in module.__all__]

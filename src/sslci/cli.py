@@ -2,14 +2,16 @@
 
 Subcommands:
 
-- ``sslci run <config> [--plot] [--out DIR]``: execute a configured
-  experiment, writing results.csv / summary.csv (and plot.svg with
-  ``--plot``).
+- ``sslci run <config> [--plot] [--out DIR] [--seed N] [--trials N]
+  [--experiment TAG]``: execute a configured experiment, writing
+  results.csv / summary.csv (and plot.svg with ``--plot``); each flag
+  overrides its config key.
 - ``sslci selfcheck``: run the fast invariant suite; nonzero exit on any
   failure.
-- ``sslci ace --joint FILE``: operator diagnostics for a discrete joint
-  given as a text file (header "x1_size x2_size y_size", then
-  probabilities in x1-major order).
+- ``sslci ace --joint FILE [--k K]``: operator diagnostics for a discrete
+  joint given as a text file (header "x1_size x2_size y_size", then
+  probabilities in x1-major order); ``--k`` (default 3) is the number of
+  ACE function pairs.
 - ``sslci topic --spec FILE``: exact verification of a finite-prior topic
   model described by a key=value file.
 

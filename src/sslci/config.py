@@ -58,6 +58,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment '{self.experiment}'")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         for name in ("k_grid", "alpha_grid", "n2_grid"):
             if len(getattr(self, name)) == 0:
                 raise ConfigError(f"{name} must be nonempty")

@@ -43,8 +43,7 @@ class LinearRepresentation:
     b: Array
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.b)):
-            raise ValueError("non-finite representation matrix")
+        object.__setattr__(self, "b", _as_float(self.b))
 
     def __call__(self, x) -> Array:
         return _as_float(x) @ self.b.T

@@ -21,7 +21,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .linalg import Array, _as_float, _softmax_rows, pinv
+from .independence import beta_inv
+from .linalg import Array, _as_float, _softmax_rows
 from .models import LabeledDataset, make_rng
 
 __all__ = [
@@ -236,7 +237,7 @@ def verify_latent_construction(spec: TopicModelSpec) -> TopicReport:
     evals = np.linalg.eigvalsh((gamma + gamma.T) / 2.0)
     kappa = float(evals.max() / evals.min()) if evals.min() > 0 else float("inf")
     s_min_a = float(np.linalg.svd(spec.a, compute_uv=False)[-1])
-    beta_inv_val = float(np.linalg.norm((w @ gamma)[None, :] @ pinv(spec.a @ gamma), 2))
+    beta_inv_val = beta_inv((w @ gamma)[None, :], spec.a @ gamma).value
     beta_bound = kappa * float(np.linalg.norm(w)) / s_min_a
 
     passed = (

@@ -160,6 +160,7 @@ def test_readme_config_block_loads_as_the_defaults(tmp_path):
         "ridge = nan",
         "pca = 0",
         "pca = 41",
+        "seed = -1",
     ],
 )
 def test_out_of_range_config_exits_2_before_compute(tmp_path, capsys, line):

@@ -247,6 +247,14 @@ def test_fit_downstream_pca_rank_too_large():
         fit_downstream(np.zeros((10, 3)), np.zeros((10, 1)), pca_rank=4)
 
 
+def test_linear_representation_stores_a_finite_float_array():
+    rep = LinearRepresentation(b=[[1.0, 2.0]])
+    assert isinstance(rep.b, np.ndarray) and rep.b.dtype == np.float64
+    np.testing.assert_array_equal(rep(np.ones((3, 2))), np.full((3, 1), 3.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        LinearRepresentation(b=[[np.nan, 1.0]])
+
+
 # ---------------------------------------------------------------------------
 # risk evaluation
 

@@ -1,5 +1,7 @@
-"""Package-level properties: runtime dependencies and the README examples."""
+"""Package-level properties: the public namespace, runtime dependencies and
+the README examples."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -9,19 +11,60 @@ from pathlib import Path
 import pytest
 
 import sslci
+from sslci.config import EXPERIMENTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(sslci.__file__).resolve().parents[1]
+ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+LIBRARY = ("linalg", "models", "learn", "independence", "operators", "topics")
+TINY_CONFIG = """\
+d1 = 6
+d2 = 5
+n1 = 400
+n2 = 200
+eval_n = 500
+trials = 1
+k_grid = 2, 3
+alpha_grid = 0.0, 0.5
+n2_grid = 100, 200
+seed = 7
+"""
+
+
+def test_package_exports_exactly_the_library_modules_all():
+    modules = [importlib.import_module(f"sslci.{name}") for name in LIBRARY]
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert sorted(sslci.__all__) == sorted(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(sslci, name) is getattr(module, name), name
 
 
 def test_import_leaves_scipy_unloaded():
     code = "import sys, sslci; print(sorted(m for m in sys.modules if m[:5] == 'scipy'))"
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=ENV
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["selfcheck", *EXPERIMENTS])
+def test_cli_runs_with_scipy_blocked(tmp_path, command):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(TINY_CONFIG)
+    argv = ["run", str(cfg), "--experiment", command, "--out", str(tmp_path), "--plot"]
+    if command == "selfcheck":
+        argv = ["selfcheck"]
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from sslci.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert (tmp_path / "plot.svg").exists() or command == "selfcheck"
 
 
 def test_readme_has_python_examples():
