@@ -2,20 +2,25 @@
 
 An experiment is one row of a table: the config field holding its grid
 (label dimension, interpolation coefficient, or downstream sample size;
-single-point experiments use the grid ``(0.0,)``) and a trial function
-returning ``(method, mse, eps_ci)`` rows.  One loop executes independent
-seeded trials at every grid point and writes ``results.csv`` (one row per
-grid point, trial, and method) plus ``summary.csv`` (mean and standard
-error per grid point and method).  Trial seeds derive deterministically
-from (master seed, grid index, trial index), so outputs are byte-identical
-for identical (config, seed) and trials could run in any order.
+single-point experiments use the grid ``(0.0,)``) and a trial function.
+Every trial takes the config's fields as keywords, ignoring those it does
+not read, and returns ``({method: mse}, eps_ci)``.  The grid value replaces
+the field named by the grid field without its ``_grid`` suffix (``k_grid``
+sets ``k``), and ``seed`` is the trial's derived seed, not the master seed.
+One loop executes independent seeded trials at every grid point and writes
+``results.csv`` (one row per grid point, trial, and method, in the order of
+the trial's scores) plus ``summary.csv`` (mean and standard error per grid
+point and method).  Trial seeds derive deterministically from (master
+seed, grid index, trial index), so outputs are byte-identical for
+identical (config, seed) and trials could run in any order.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +34,6 @@ from .learn import (
     fit_downstream,
     fit_pretext_linear,
     mean_squared_error,
-    mixture_target,
     optimal_downstream_map,
 )
 from .models import (
@@ -37,6 +41,7 @@ from .models import (
     discrete_joint_random,
     gaussian_ci_population,
     gaussian_ci_sample,
+    mixture_posterior,
     mixture_sample,
     random_gaussian_ci_spec,
     random_mixture_spec,
@@ -78,41 +83,24 @@ class RunResult:
 
 
 def _score_methods(pre, down, ev, star, target, ridge, pca) -> dict[str, float]:
-    """MSE vs ``target`` on ``ev`` of heads fit on ``down`` over ψ̂, raw x1 and ψ*."""
+    """MSE vs ``target`` on ``ev`` of heads fit on ``down`` over ψ̂, ψ*, raw x1."""
     rep = fit_pretext_linear(pre.x1, pre.x2, ridge)
     scores = {}
-    for method, features in (("psi", rep), ("raw-x1", lambda x: x), ("psi-star", star)):
+    for method, features in (("psi", rep), ("psi-star", star), ("raw-x1", lambda x: x)):
         fit = fit_downstream(features(down.x1), down.y, ridge, pca)
         scores[method] = mean_squared_error(fit, features, target, ev.x1)
     return scores
 
 
-def _mixture_trial(
-    d1: int,
-    d2: int,
-    k: int,
-    alpha: float,
-    n1: int,
-    n2: int,
-    eval_n: int,
-    ridge: float,
-    pca: int | None,
-    seed: int,
-) -> tuple[dict[str, float], float]:
+def _mixture_trial(*, d1, d2, k, alpha, n1, n2, eval_n, ridge, pca, seed, **_):
     """One mixture trial; returns per-method MSE and an eps_ci estimate."""
     spec = random_mixture_spec(k, d1, d2, alpha, derive_seed(seed, 11))
     pre = mixture_sample(spec, n1, derive_seed(seed, 1))
     down = mixture_sample(spec, n2, derive_seed(seed, 2))
     ev = mixture_sample(spec, eval_n, derive_seed(seed, 3))
-    scores = _score_methods(
-        pre,
-        down,
-        ev,
-        lambda x: closed_form_psi_mixture(spec, x),
-        lambda x: mixture_target(spec, x),
-        ridge,
-        pca,
-    )
+    star = partial(closed_form_psi_mixture, spec)
+    target = partial(mixture_posterior, spec)
+    scores = _score_methods(pre, down, ev, star, target, ridge, pca)
     return scores, eps_ci_linear_from_data(ev.x1, ev.x2, ev.y)
 
 
@@ -130,17 +118,7 @@ def _gaussian_population(d1: int, d2: int, k: int, seed: int):
     return spec, blocks, closed_form_f_gaussian(blocks), eps
 
 
-def _gaussian_n2_trial(
-    d1: int,
-    d2: int,
-    k: int,
-    n1: int,
-    n2: int,
-    eval_n: int,
-    ridge: float,
-    pca: int | None,
-    seed: int,
-) -> tuple[dict[str, float], float]:
+def _gaussian_n2_trial(*, d1, d2, k, n1, n2, eval_n, ridge, pca, seed, **_):
     """One exact-CI trial at downstream sample size n2.
 
     The linear-Gaussian model satisfies conditional independence exactly
@@ -157,77 +135,61 @@ def _gaussian_n2_trial(
     return scores, eps
 
 
-def _gaussian_identity_rows(config: ExperimentConfig, value: float, seed: int):
+def _gaussian_identity_trial(*, d1, d2, k, seed, **_):
     """Residual of the closed-form identity plus the analytic eps_ci."""
-    _, blocks, f_map, eps = _gaussian_population(config.d1, config.d2, config.k, seed)
+    _, blocks, f_map, eps = _gaussian_population(d1, d2, k, seed)
     rep = closed_form_psi_gaussian(blocks)
     w_star = optimal_downstream_map(blocks)
-    return [("identity-residual", np.linalg.norm(f_map - w_star.T @ rep.b, "fro"), eps)]
+    return {"identity-residual": np.linalg.norm(f_map - w_star.T @ rep.b, "fro")}, eps
 
 
-_GAUSSIAN_KEYS = ("d1", "d2", "k", "n1", "n2", "eval_n", "ridge", "pca")
-_MIXTURE_KEYS = _GAUSSIAN_KEYS + ("alpha",)
-
-
-def _pipeline(trial_fn, keys: tuple[str, ...], grid_key: str):
-    """Table trial function: ``trial_fn`` on config ``keys``, grid value as ``grid_key``.
-
-    A singular solve gives one NaN row.
-    """
-
-    def rows(config: ExperimentConfig, value, seed: int):
-        params = {key: getattr(config, key) for key in keys}
-        try:
-            scores, eps = trial_fn(**{**params, grid_key: value, "seed": seed})
-        except np.linalg.LinAlgError:
-            return [("degenerate", float("nan"), float("nan"))]
-        return [(method, scores[method], eps) for method in sorted(scores)]
-
-    return rows
-
-
-def _ace_demo_rows(config: ExperimentConfig, value: float, seed: int):
+def _ace_demo_trial(*, seed, **_):
     joint = discrete_joint_random((8, 7, 3), seed)
     solution = ace_fit(joint, k=3)
     svals = np.linalg.svd(build_operator_t(joint).weighted, compute_uv=False)
     gap = float(np.abs(solution.sigmas - svals[1:4]).max())
-    return [("sigma-gap", gap, eps_ci_tilde(joint))]
+    return {"sigma-gap": gap}, eps_ci_tilde(joint)
 
 
-def _topic_check_rows(config: ExperimentConfig, value: float, seed: int):
+def _topic_check_trial(*, seed, **_):
     report = verify_latent_construction(random_topic_spec(5, 2, 3, 4, seed))
     eps = report.eps_ci
-    return [
-        ("eps-ci", eps, eps),
-        ("linearity-gap", report.linearity_gap, eps),
-        ("beta-slack", report.beta_bound - report.beta_inv, eps),
-    ]
+    return {
+        "eps-ci": eps,
+        "linearity-gap": report.linearity_gap,
+        "beta-slack": report.beta_bound - report.beta_inv,
+    }, eps
 
 
-def _ci_report_rows(config: ExperimentConfig, alpha: float, seed: int):
-    spec = random_mixture_spec(config.k, config.d1, config.d2, alpha, derive_seed(seed, 11))
-    data = mixture_sample(spec, config.eval_n, derive_seed(seed, 3))
+def _ci_report_trial(*, k, d1, d2, alpha, eval_n, seed, **_):
+    spec = random_mixture_spec(k, d1, d2, alpha, derive_seed(seed, 11))
+    data = mixture_sample(spec, eval_n, derive_seed(seed, 3))
     eps = eps_ci_linear_from_data(data.x1, data.x2, data.y)
-    return [("eps-ci", eps, eps)]
+    return {"eps-ci": eps}, eps
 
 
 #: experiment -> (config field holding the grid, or None for the single
-#: point 0.0; trial function (config, grid value, seed) -> rows of
-#: (method, mse, eps_ci)).  Keys follow ``config.EXPERIMENTS``.
+#: point 0.0; trial function).  A trial takes the config's fields as
+#: keywords, typed as in ``ExperimentConfig`` (``**_`` absorbs those it does
+#: not read), with the grid value in the field named without the ``_grid``
+#: suffix and ``seed`` the derived trial seed, and returns
+#: ``({method: mse}, eps_ci)``.  Keys follow ``config.EXPERIMENTS``.
 _EXPERIMENTS = {
-    "mse-vs-k": ("k_grid", _pipeline(_mixture_trial, _MIXTURE_KEYS, "k")),
-    "mse-vs-eps": ("alpha_grid", _pipeline(_mixture_trial, _MIXTURE_KEYS, "alpha")),
-    "mse-vs-n2": ("n2_grid", _pipeline(_gaussian_n2_trial, _GAUSSIAN_KEYS, "n2")),
-    "exact-ci-gaussian": (None, _gaussian_identity_rows),
-    "ace-demo": (None, _ace_demo_rows),
-    "topic-check": (None, _topic_check_rows),
-    "ci-report": ("alpha_grid", _ci_report_rows),
+    "mse-vs-k": ("k_grid", _mixture_trial),
+    "mse-vs-eps": ("alpha_grid", _mixture_trial),
+    "mse-vs-n2": ("n2_grid", _gaussian_n2_trial),
+    "exact-ci-gaussian": (None, _gaussian_identity_trial),
+    "ace-demo": (None, _ace_demo_trial),
+    "topic-check": (None, _topic_check_trial),
+    "ci-report": ("alpha_grid", _ci_report_trial),
 }
 
 
 def _experiment_rows(config: ExperimentConfig) -> list[TrialRow]:
+    """Every trial of the experiment; a singular solve gives one NaN row."""
     grid_field, trial_fn = _EXPERIMENTS[config.experiment]
-    grid = getattr(config, grid_field) if grid_field else (0.0,)
+    params = asdict(config)
+    grid = params[grid_field] if grid_field else (0.0,)
     # glibc raises its mmap and trim thresholds to the size of the largest
     # mmapped block freed so far.  Freeing one 16 MiB block first keeps the
     # trials' multi-megabyte arrays on the heap, where they are reused,
@@ -236,9 +198,15 @@ def _experiment_rows(config: ExperimentConfig) -> list[TrialRow]:
     np.empty(2 << 20)
     rows: list[TrialRow] = []
     for gi, value in enumerate(grid):
+        if grid_field:
+            params[grid_field.removesuffix("_grid")] = value
         for trial in range(config.trials):
             seed = derive_seed(config.seed, gi, trial)
-            for method, mse, eps in trial_fn(config, value, seed):
+            try:
+                scores, eps = trial_fn(**{**params, "seed": seed})
+            except np.linalg.LinAlgError:
+                scores, eps = {"degenerate": float("nan")}, float("nan")
+            for method, mse in scores.items():
                 rows.append(
                     TrialRow(
                         experiment=config.experiment,
@@ -276,16 +244,13 @@ def summarize(rows: list[TrialRow]) -> list[tuple[str, float, str, float, float]
     return out
 
 
-def write_line_plot_svg(path: Path, rows: list[TrialRow], title: str) -> None:
-    """Minimal deterministic SVG: one line + stderr band per method."""
-    summary = summarize(rows)
+def write_line_plot_svg(path: Path, summary: list[tuple], title: str) -> None:
+    """Deterministic SVG of ``summarize`` rows: a line + stderr band per method."""
     methods: dict[str, list[tuple[float, float, float]]] = {}
     for _, grid_value, method, mean, stderr in summary:
         methods.setdefault(method, []).append((grid_value, mean, stderr))
     width, height, margin = 640, 420, 60
-    xs = sorted({g for pts in methods.values() for g, _, _ in pts})
-    if len(xs) < 1:
-        return
+    xs = [g for pts in methods.values() for g, _, _ in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo = min(m - s for pts in methods.values() for _, m, s in pts)
     y_hi = max(m + s for pts in methods.values() for _, m, s in pts)
@@ -340,13 +305,11 @@ def run(config: ExperimentConfig) -> RunResult:
     results_path = out_dir / "results.csv"
     summary_path = out_dir / "summary.csv"
     _write_csv(results_path, [f.name for f in fields(TrialRow)], map(astuple, rows))
-    _write_csv(
-        summary_path,
-        ["experiment", "grid_value", "method", "mean", "stderr"],
-        summarize(rows),
-    )
+    summary = summarize(rows)
+    header = ["experiment", "grid_value", "method", "mean", "stderr"]
+    _write_csv(summary_path, header, summary)
     if config.plot:
-        write_line_plot_svg(out_dir / "plot.svg", rows, config.experiment)
+        write_line_plot_svg(out_dir / "plot.svg", summary, config.experiment)
     return RunResult(
         rows=tuple(rows),
         wall_time=time.perf_counter() - start,
@@ -405,10 +368,9 @@ def _check_precision_routes() -> None:
 
 
 def _check_gaussian_identity() -> None:
-    config = ExperimentConfig(d1=6, d2=5, k=2)
     for seed in range(3):
-        [(_, residual, eps)] = _gaussian_identity_rows(config, 0.0, seed)
-        assert residual < 1e-8
+        scores, eps = _gaussian_identity_trial(d1=6, d2=5, k=2, seed=seed)
+        assert scores["identity-residual"] < 1e-8
         assert eps < 1e-8
 
 

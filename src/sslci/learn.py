@@ -31,7 +31,6 @@ __all__ = [
     "fit_pretext_linear",
     "log_loss_eval",
     "mean_squared_error",
-    "mixture_target",
     "mixture_two_class_target",
     "optimal_downstream_map",
 ]
@@ -54,6 +53,9 @@ class DownstreamFit:
     """Linear head Ŵ mapping representation outputs to label space."""
 
     w_hat: Array
+
+    def __post_init__(self):
+        object.__setattr__(self, "w_hat", _as_float(self.w_hat))
 
     def predict(self, psi_x) -> Array:
         return _as_float(psi_x) @ self.w_hat
@@ -101,11 +103,6 @@ def closed_form_psi_mixture(spec: MixtureSpec, x1) -> Array:
     """
     post = mixture_posterior(spec, x1)
     return post @ spec.centers2
-
-
-def mixture_target(spec: MixtureSpec, x1) -> Array:
-    """Optimal one-hot label predictor E[Y | x1] (the class posterior)."""
-    return mixture_posterior(spec, x1)
 
 
 def mixture_two_class_target(spec: MixtureSpec, x1) -> Array:

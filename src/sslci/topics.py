@@ -127,7 +127,7 @@ def _multinomial_log_pmf(counts: Array, probs: Array) -> Array:
     with np.errstate(divide="ignore"):
         logp = np.log(probs)
     terms = counts @ np.where(np.isfinite(logp), logp, 0.0).T
-    impossible = (counts[:, None, :] * (probs[None, :, :] == 0)).sum(axis=2) > 0
+    impossible = counts @ (probs == 0).T > 0
     out = log_coef[:, None] + terms
     out[impossible] = -np.inf
     return out

@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,16 @@ from sslci.config import (
     load_config,
     parse_config_file,
 )
-from sslci.harness import _EXPERIMENTS, TrialRow, run, selfcheck_checks, summarize
+from sslci.harness import (
+    _EXPERIMENTS,
+    TrialRow,
+    _experiment_rows,
+    _mixture_trial,
+    run,
+    selfcheck_checks,
+    summarize,
+)
+from sslci.models import derive_seed
 
 JOINT_CI = """3 3 2
 0.05 0.05 0.05 0.05 0.10 0.05 0.05 0.05 0.10
@@ -336,6 +346,59 @@ def test_experiment_table_entry(tmp_path, experiment):
             assert tuple(row.method for row in rows) == methods
             assert {(row.grid_value, row.trial) for row in rows} == {(value, trial)}
             assert all(np.isfinite(row.mse) and np.isfinite(row.eps_ci) for row in rows)
+
+
+def test_grid_fields_name_the_field_their_value_replaces():
+    names = {f.name for f in fields(ExperimentConfig)}
+    gridded = [grid_field for grid_field, _ in _EXPERIMENTS.values() if grid_field]
+    assert gridded
+    for grid_field in gridded:
+        assert grid_field.endswith("_grid")
+        assert {grid_field, grid_field.removesuffix("_grid")} <= names
+
+
+def test_experiment_rows_match_direct_trial_calls():
+    config = ExperimentConfig(experiment="mse-vs-k", **TINY)
+    rows = iter(_experiment_rows(config))
+    for gi, value in enumerate(config.k_grid):
+        for trial in range(config.trials):
+            seed = derive_seed(config.seed, gi, trial)
+            scores, eps = _mixture_trial(
+                d1=config.d1,
+                d2=config.d2,
+                k=value,
+                alpha=config.alpha,
+                n1=config.n1,
+                n2=config.n2,
+                eval_n=config.eval_n,
+                ridge=config.ridge,
+                pca=config.pca,
+                seed=seed,
+            )
+            for method, mse in scores.items():
+                row = next(rows)
+                assert (row.grid_value, row.trial, row.seed) == (value, trial, seed)
+                assert (row.method, row.mse, row.eps_ci) == (method, mse, eps)
+    assert next(rows, None) is None
+
+
+@pytest.mark.parametrize(
+    "experiment, solver",
+    [("mse-vs-k", "fit_pretext_linear"), ("topic-check", "verify_latent_construction")],
+)
+def test_singular_trial_gives_one_degenerate_row(monkeypatch, experiment, solver):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(f"sslci.harness.{solver}", singular)
+    rows = _experiment_rows(ExperimentConfig(experiment=experiment, **TINY))
+    grid_field, _ = _EXPERIMENTS[experiment]
+    grid = TINY[grid_field] if grid_field else (0.0,)
+    points = [(float(value), trial) for value in grid for trial in range(TINY["trials"])]
+    assert [(row.grid_value, row.trial) for row in rows] == points
+    for row in rows:
+        assert row.method == "degenerate"
+        assert np.isnan(row.mse) and np.isnan(row.eps_ci)
 
 
 # ---------------------------------------------------------------------------

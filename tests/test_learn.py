@@ -255,6 +255,14 @@ def test_linear_representation_stores_a_finite_float_array():
         LinearRepresentation(b=[[np.nan, 1.0]])
 
 
+def test_downstream_fit_stores_a_finite_float_array():
+    fit = DownstreamFit(w_hat=[[2.0]])
+    assert isinstance(fit.w_hat, np.ndarray) and fit.w_hat.dtype == np.float64
+    np.testing.assert_array_equal(fit.predict(np.ones((2, 1))), np.full((2, 1), 2.0))
+    with pytest.raises(ValueError, match="non-finite entries"):
+        DownstreamFit(w_hat=[[np.nan]])
+
+
 # ---------------------------------------------------------------------------
 # risk evaluation
 
