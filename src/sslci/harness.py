@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -407,8 +407,12 @@ def _check_operator_suite() -> None:
     assert eps_ci_tilde(joint) < 1e-10
 
     joint2 = discrete_joint_random((7, 6, 3), seed=4)
+    op2 = build_operator_t(joint2)
+    diff = replace(op2, t=op2.t - build_operator_l(joint2))
+    top = np.linalg.svd(diff.weighted, compute_uv=False)[0]
+    assert abs(eps_ci_tilde(joint2) - top) <= 1e-12 * top  # the Gram route
     solution = ace_fit(joint2, k=2)
-    dense = np.linalg.svd(build_operator_t(joint2).weighted, compute_uv=False)
+    dense = np.linalg.svd(op2.weighted, compute_uv=False)
     assert np.abs(solution.sigmas - dense[1:3]).max() < 1e-8
     ace_objective_identity_check(solution, joint2)
     for g_choice in ("pinv_of_A", "bayes_indicator"):

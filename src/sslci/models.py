@@ -244,7 +244,11 @@ class DiscreteJoint:
     validated and summed once, at construction: ``p`` and the arrays the
     ``marginal_*`` accessors return are read-only, and the array passed in
     must not be mutated afterwards.  Only ``p_x1x2`` sums the tensor again on each
-    call, to keep the |X1|×|X2| marginal out of memory between uses.
+    call, to keep the |X1|×|X2| marginal out of memory between uses.  It adds
+    the label slices p(·, ·, y) in index order y = 0, 1, …, |Y|−1, which is
+    bit-for-bit ``p.sum(axis=2)`` below 8 labels (numpy reduces 8 or more
+    contiguous terms through eight partial sums, so there the last bits may
+    differ).
     """
 
     p: Array
@@ -286,7 +290,13 @@ class DiscreteJoint:
         return self.p.ndim == 3
 
     def p_x1x2(self) -> Array:
-        return self.p.sum(axis=2) if self.has_y else self.p
+        if not self.has_y:
+            return self.p
+        # one vectorized add per label, not one short inner loop per cell
+        out = self.p[:, :, 0].copy()
+        for y in range(1, self.p.shape[2]):
+            out += self.p[:, :, y]
+        return out
 
     def marginal_x1(self) -> Array:
         return self._marginal("x1")

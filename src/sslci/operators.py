@@ -109,13 +109,22 @@ def build_operator_l(joint: DiscreteJoint) -> Array:
 def eps_ci_tilde(joint: DiscreteJoint) -> float:
     """Operator norm of the difference kernel in the weighted geometry.
 
-    Top singular value of D1^{1/2} (T − L) D2^{1/2}; zero exactly under
-    conditional independence given the label.
+    Top singular value of W = D1^{1/2} (T − L) D2^{1/2}; zero exactly under
+    conditional independence given the label.  It is read as the square
+    root of the top eigenvalue of the smaller Gram matrix (WᵀW or WWᵀ),
+    which costs a symmetric eigensolve of min(|X1|, |X2|) rows instead of
+    an SVD.  The route is accurate for the top value only: the largest
+    eigenvalue of a Gram matrix carries relative error of order n·ε, so σ₁
+    keeps full relative accuracy (and stays at rounding level under exact CI),
+    while a singular value far below σ₁ would be lost to an absolute error
+    near √ε·σ₁.
     """
+    l_kernel = build_operator_l(joint)  # raises on a joint without labels
     op = build_operator_t(joint)
-    diff = replace(op, t=op.t - build_operator_l(joint))
-    svals = np.linalg.svd(diff.weighted, compute_uv=False)
-    return float(svals[0])
+    w = replace(op, t=op.t - l_kernel).weighted
+    gram = w.T @ w if w.shape[1] <= w.shape[0] else w @ w.T
+    top = np.linalg.eigvalsh(gram)[-1]
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def _orthonormalize_against(m: Array, direction: Array) -> Array:
@@ -143,11 +152,11 @@ def ace_fit(joint: DiscreteJoint, k: int) -> AceSolution:
     ``ACE_TOL``; otherwise returns ``converged=False`` after
     ``ACE_MAX_ITERS`` sweeps.  ``residual`` holds the last value measured.
     """
-    op = build_operator_t(joint)
-    m = op.weighted
-    n1, n2 = m.shape
+    n1, n2 = joint.p.shape[:2]
     if k < 1 or k + 1 > min(n1, n2):
         raise ValueError("need 1 <= k and k+1 <= min(|X1|, |X2|)")
+    op = build_operator_t(joint)
+    m = op.weighted
     u0 = np.sqrt(op.d1)
     v0 = np.sqrt(op.d2)
     m_def = m - np.outer(u0, v0)
@@ -195,10 +204,10 @@ def maximal_correlation(joint: DiscreteJoint, k: int) -> float:
     Always in [0, 1]; zero for independent views, one when one view
     determines the other through k distinct function pairs.
     """
+    if k < 1 or k >= min(joint.p.shape[:2]):
+        raise ValueError("k out of range")
     op = build_operator_t(joint)
     svals = np.linalg.svd(op.weighted, compute_uv=False)
-    if k < 1 or k >= svals.size:
-        raise ValueError("k out of range")
     return float(min(max(svals[k], 0.0), 1.0))
 
 

@@ -293,6 +293,31 @@ def test_discrete_joint_requires_valid_tensor():
         DiscreteJoint(p=np.array([[0.5, 0.5], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("labels", range(2, 8))
+def test_p_x1x2_is_bit_equal_to_the_label_sum_below_eight_labels(labels):
+    joint = discrete_joint_random((23, 17, labels), seed=labels)
+    assert joint.p_x1x2().tobytes() == joint.p.sum(axis=2).tobytes()
+
+
+@pytest.mark.parametrize("labels", (8, 9, 16))
+def test_p_x1x2_matches_the_label_sum_to_rounding_from_eight_labels(labels):
+    # numpy reduces 8 or more contiguous terms through eight partial sums
+    joint = discrete_joint_random((23, 17, labels), seed=labels)
+    ref = joint.p.sum(axis=2)
+    assert np.abs(joint.p_x1x2() - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_p_x1x2_returns_a_fresh_writable_array():
+    joint = discrete_joint_random((5, 4, 3), seed=3)
+    p12 = joint.p_x1x2()
+    assert p12.flags.writeable and p12.flags.c_contiguous
+    assert not np.shares_memory(p12, joint.p)
+    p12[0, 0] = -1.0
+    assert joint.p_x1x2()[0, 0] > 0
+    two_axis = discrete_joint_random((5, 4), seed=3)
+    assert two_axis.p_x1x2() is two_axis.p
+
+
 def test_discrete_joint_determinism():
     a = discrete_joint_random((3, 3, 2), seed=5)
     b = discrete_joint_random((3, 3, 2), seed=5)

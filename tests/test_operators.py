@@ -152,6 +152,21 @@ def test_eps_ci_tilde_positive_generic_and_monotone():
     assert values[0] < values[1] < values[2]
 
 
+@pytest.mark.parametrize("sizes", [(150, 90, 3), (90, 150, 3)])
+def test_eps_ci_tilde_matches_the_dense_top_singular_value(sizes):
+    # both orientations of the Gram matrix: WᵀW and WWᵀ
+    joint = discrete_joint_random(sizes, seed=sum(sizes))
+    op = build_operator_t(joint)
+    w = np.sqrt(op.d1)[:, None] * (op.t - build_operator_l(joint)) * np.sqrt(op.d2)
+    dense = np.linalg.svd(w, compute_uv=False)[0]
+    assert eps_ci_tilde(joint) == pytest.approx(dense, rel=1e-13)
+
+
+def test_eps_ci_tilde_stays_at_rounding_level_on_a_larger_ci_joint():
+    joint = discrete_joint_random((60, 60, 4), seed=12, ci_with_y=True)
+    assert 0.0 <= eps_ci_tilde(joint) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # alternating solver
 
@@ -269,6 +284,24 @@ def test_maximal_correlation_k_out_of_range():
     joint = discrete_joint_random((3, 3), seed=17)
     with pytest.raises(ValueError):
         maximal_correlation(joint, k=3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ace_fit(discrete_joint_random((4, 3, 2), seed=1), k=3),
+        lambda: maximal_correlation(discrete_joint_random((4, 3, 2), seed=1), k=3),
+        lambda: eps_ci_tilde(discrete_joint_random((4, 3), seed=1)),
+    ],
+    ids=["ace_fit-k", "maximal_correlation-k", "eps_ci_tilde-no-label"],
+)
+def test_invalid_calls_raise_before_building_the_operator(call, monkeypatch):
+    def fail(joint):
+        raise AssertionError("build_operator_t ran before validation")
+
+    monkeypatch.setattr("sslci.operators.build_operator_t", fail)
+    with pytest.raises(ValueError):
+        call()
 
 
 # ---------------------------------------------------------------------------
