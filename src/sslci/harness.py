@@ -37,6 +37,7 @@ from .learn import (
     optimal_downstream_map,
 )
 from .models import (
+    _gaussian_ci_head,
     derive_seed,
     discrete_joint_random,
     gaussian_ci_population,
@@ -82,13 +83,18 @@ class RunResult:
     summary_path: Path
 
 
-def _score_methods(pre, down, ev, star, target, ridge, pca) -> dict[str, float]:
-    """MSE vs ``target`` on ``ev`` of heads fit on ``down`` over ψ̂, ψ*, raw x1."""
+def _score_methods(
+    pre, down_x1, down_y, ev_x1, star, target, ridge, pca
+) -> dict[str, float]:
+    """MSE vs ``target`` on ``ev_x1`` of heads fit on (``down_x1``, ``down_y``).
+
+    The features are ψ̂ (the pretext fit on ``pre``), ψ* and raw x1.
+    """
     rep = fit_pretext_linear(pre.x1, pre.x2, ridge)
     scores = {}
     for method, features in (("psi", rep), ("psi-star", star), ("raw-x1", lambda x: x)):
-        fit = fit_downstream(features(down.x1), down.y, ridge, pca)
-        scores[method] = mean_squared_error(fit, features, target, ev.x1)
+        fit = fit_downstream(features(down_x1), down_y, ridge, pca)
+        scores[method] = mean_squared_error(fit, features, target, ev_x1)
     return scores
 
 
@@ -100,7 +106,7 @@ def _mixture_trial(*, d1, d2, k, alpha, n1, n2, eval_n, ridge, pca, seed, **_):
     ev = mixture_sample(spec, eval_n, derive_seed(seed, 3))
     star = partial(closed_form_psi_mixture, spec)
     target = partial(mixture_posterior, spec)
-    scores = _score_methods(pre, down, ev, star, target, ridge, pca)
+    scores = _score_methods(pre, down.x1, down.y, ev.x1, star, target, ridge, pca)
     return scores, eps_ci_linear_from_data(ev.x1, ev.x2, ev.y)
 
 
@@ -124,14 +130,17 @@ def _gaussian_n2_trial(*, d1, d2, k, n1, n2, eval_n, ridge, pca, seed, **_):
     The linear-Gaussian model satisfies conditional independence exactly
     and its label carries additive noise, so with the population
     representation the downstream mean squared error is pure estimation
-    noise and scales as 1/n2.
+    noise and scales as 1/n2.  Only the pretext sample's x2 is read, so the
+    downstream and evaluation samples stop before their x2 draw.
     """
     spec, blocks, f_map, eps = _gaussian_population(d1, d2, k, derive_seed(seed, 11))
     pre = gaussian_ci_sample(spec, n1, derive_seed(seed, 1))
-    down = gaussian_ci_sample(spec, n2, derive_seed(seed, 2))
-    ev = gaussian_ci_sample(spec, eval_n, derive_seed(seed, 3))
+    down_y, down_x1, _ = _gaussian_ci_head(spec, n2, derive_seed(seed, 2))
+    _, ev_x1, _ = _gaussian_ci_head(spec, eval_n, derive_seed(seed, 3))
     star = closed_form_psi_gaussian(blocks)
-    scores = _score_methods(pre, down, ev, star, lambda x: x @ f_map.T, ridge, pca)
+    scores = _score_methods(
+        pre, down_x1, down_y, ev_x1, star, lambda x: x @ f_map.T, ridge, pca
+    )
     return scores, eps
 
 
@@ -349,6 +358,20 @@ def _check_cov_primitives() -> None:
     assert np.abs(proj @ proj - proj).max() < 1e-8
 
 
+def _check_least_squares() -> None:
+    # κ = 1e3 on the kept directions; the second design adds a singular value
+    # of 1e-7, below the 1e-5·σ_max cutoff, which both solves must drop
+    rng = np.random.default_rng(17)
+    u, _ = np.linalg.qr(rng.standard_normal((60, 8)))
+    v, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    b = rng.standard_normal((60, 3))
+    tol = 64 * 1e3**2 * np.finfo(np.float64).eps * np.linalg.norm(b)
+    for spectrum in (np.logspace(0, -3, 8), np.append(np.logspace(0, -3, 7), 1e-7)):
+        a = (u * spectrum) @ v.T
+        pred = fit_pretext_linear(a, b)(a)
+        assert np.abs(pred - a @ np.linalg.lstsq(a, b, rcond=1e-5)[0]).max() <= tol
+
+
 def _check_precision_routes() -> None:
     from .linalg import gaussian_conditionals_from_precision
 
@@ -446,6 +469,7 @@ def selfcheck_checks() -> list[tuple[str, callable]]:
     """Named fast invariant checks covering every module."""
     return [
         ("covariance-primitives", _check_cov_primitives),
+        ("least-squares-rank-cutoff", _check_least_squares),
         ("precision-vs-covariance-routes", _check_precision_routes),
         ("gaussian-closed-form-identity", _check_gaussian_identity),
         ("mixture-two-class-identity", _check_mixture_identity),

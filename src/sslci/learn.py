@@ -114,20 +114,26 @@ def mixture_two_class_target(spec: MixtureSpec, x1) -> Array:
 
 
 def _least_squares(a: Array, b: Array, ridge: float) -> Array:
-    """Solve (AᵀA + n·ridge·I) W = AᵀB; ridge = 0 gives the minimum-norm W."""
+    """Solve (AᵀA + n·ridge·I) W = AᵀB with ``solve_psd``.
+
+    With ridge = 0, singular values of A at or below 1e-5·σ_max (AᵀA
+    eigenvalues at or below ``DEFAULT_RANK_TOL``·λ_max) are dropped and W is
+    the minimum-norm solution on the kept directions, as from
+    ``np.linalg.lstsq(a, b, rcond=1e-5)``, not numpy's ``rcond=None``.
+    """
     if not ridge >= 0:
         raise ValueError("ridge must be nonnegative")
-    if ridge == 0.0:
-        return np.linalg.lstsq(a, b, rcond=None)[0]
     n, d = a.shape
-    return np.linalg.solve(a.T @ a + n * ridge * np.eye(d), a.T @ b)
+    return solve_psd(a.T @ a + n * ridge * np.eye(d), a.T @ b)[0]
 
 
 def fit_pretext_linear(x1_pre, x2, ridge: float = 0.0) -> LinearRepresentation:
     """Least-squares fit of the second view from the first.
 
-    Solves (X1ᵀX1 + n·ridge·I) Bᵀ = X1ᵀX2; ridge = 0 uses the
-    pseudo-inverse (minimum-norm solution).
+    Solves (X1ᵀX1 + n·ridge·I) Bᵀ = X1ᵀX2.  With ridge = 0, singular
+    values of X1 at or below 1e-5·σ_max (X1ᵀX1 eigenvalues at or below
+    ``DEFAULT_RANK_TOL``·λ_max) are dropped and Bᵀ is the minimum-norm
+    solution on the kept directions; this is not numpy's ``rcond=None``.
     """
     a = _as_float(x1_pre)
     b = _as_float(x2)
@@ -148,6 +154,11 @@ def fit_downstream(
     principal directions; the head is fit there and stored back-projected
     into the original coordinates, so ``predict`` always consumes raw
     representation outputs.
+
+    The head solves (FᵀF + n·ridge·I) W = FᵀY.  With ridge = 0, singular
+    values of the features F at or below 1e-5·σ_max (FᵀF eigenvalues at or
+    below ``DEFAULT_RANK_TOL``·λ_max) are dropped and W is the minimum-norm
+    solution on the kept directions; this is not numpy's ``rcond=None``.
     """
     feats = _as_float(psi_x1)
     targets = _as_float(y)

@@ -123,14 +123,25 @@ def _psd_sqrt(m: Array) -> Array:
     return (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.T
 
 
-def gaussian_ci_sample(spec: GaussianCISpec, n: int, seed: int) -> LabeledDataset:
-    """n i.i.d. draws from the linear-Gaussian model, deterministic in seed."""
+def _gaussian_ci_head(
+    spec: GaussianCISpec, n: int, seed: int
+) -> tuple[Array, Array, np.random.Generator]:
+    """``gaussian_ci_sample``'s y and x1, bit for bit, and its generator.
+
+    x2 is the generator's last draw, so a caller that reads no x2 stops here.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = make_rng(seed)
     root = _psd_sqrt(spec.sigma_y)
     y = rng.standard_normal((n, spec.k)) @ root.T
     x1 = y @ spec.m1.T + spec.noise1 * rng.standard_normal((n, spec.d1))
+    return y, x1, rng
+
+
+def gaussian_ci_sample(spec: GaussianCISpec, n: int, seed: int) -> LabeledDataset:
+    """n i.i.d. draws from the linear-Gaussian model, deterministic in seed."""
+    y, x1, rng = _gaussian_ci_head(spec, n, seed)
     x2 = y @ spec.m2.T + spec.noise2 * rng.standard_normal((n, spec.d2))
     return LabeledDataset(x1=x1, x2=x2, y=y)
 

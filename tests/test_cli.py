@@ -23,12 +23,16 @@ from sslci.harness import (
     _EXPERIMENTS,
     TrialRow,
     _experiment_rows,
+    _gaussian_n2_trial,
+    _gaussian_population,
     _mixture_trial,
+    _score_methods,
     run,
     selfcheck_checks,
     summarize,
 )
-from sslci.models import derive_seed
+from sslci.learn import closed_form_psi_gaussian
+from sslci.models import derive_seed, gaussian_ci_sample
 
 JOINT_CI = """3 3 2
 0.05 0.05 0.05 0.05 0.10 0.05 0.05 0.05 0.10
@@ -355,6 +359,24 @@ def test_grid_fields_name_the_field_their_value_replaces():
     for grid_field in gridded:
         assert grid_field.endswith("_grid")
         assert {grid_field, grid_field.removesuffix("_grid")} <= names
+
+
+@pytest.mark.parametrize("ridge, pca", [(0.0, None), (0.01, 3)])
+def test_gaussian_n2_trial_matches_scores_on_three_full_samples(ridge, pca):
+    params = dict(d1=6, d2=5, k=2, n1=300, n2=80, eval_n=500, ridge=ridge, pca=pca)
+    seed = derive_seed(7, 1, 2)
+    scores, eps = _gaussian_n2_trial(**params, seed=seed)
+    spec, blocks, f_map, want_eps = _gaussian_population(6, 5, 2, derive_seed(seed, 11))
+    pre, down, ev = (
+        gaussian_ci_sample(spec, params[size], derive_seed(seed, sub))
+        for sub, size in ((1, "n1"), (2, "n2"), (3, "eval_n"))
+    )
+    star = closed_form_psi_gaussian(blocks)
+    want = _score_methods(
+        pre, down.x1, down.y, ev.x1, star, lambda x: x @ f_map.T, ridge, pca
+    )
+    assert list(scores) == list(want) == ["psi", "psi-star", "raw-x1"]
+    assert scores == want and eps == want_eps
 
 
 def test_experiment_rows_match_direct_trial_calls():

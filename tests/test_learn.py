@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sslci import (
     CovarianceBlocks,
@@ -261,6 +263,95 @@ def test_downstream_fit_stores_a_finite_float_array():
     np.testing.assert_array_equal(fit.predict(np.ones((2, 1))), np.full((2, 1), 2.0))
     with pytest.raises(ValueError, match="non-finite entries"):
         DownstreamFit(w_hat=[[np.nan]])
+
+
+# ---------------------------------------------------------------------------
+# conditioning of the least-squares solve
+
+EPS = np.finfo(np.float64).eps
+#: singular values of A at or below this fraction of σ_max are dropped
+CUTOFF = 1e-5
+
+
+def _design(n, d, log_kappa, seed):
+    """n×d design with singular values 1 … 10^−log_kappa, none in [1e-6, 1e-4].
+
+    Returns ``(a, b, kept)``: the design scaled by a random power of ten,
+    three right-hand sides, and the singular values above the cutoff.
+    """
+    rng = make_rng(seed)
+    r = min(n, d)
+    exponents = rng.uniform(-log_kappa, 0.0, r)
+    exponents[0] = 0.0
+    band = (exponents > -6.0) & (exponents < -4.0)
+    exponents[band] = np.where(exponents[band] > -5.0, -4.0, -6.0)
+    s = 10.0**exponents
+    u, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, r)))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    b = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return (u * (scale * s)) @ v.T, b, scale * s[s > CUTOFF]
+
+
+@pytest.mark.parametrize("tall", [True, False], ids=["n>=d", "n<d"])
+@settings(max_examples=60, deadline=None)
+@given(
+    small=st.integers(1, 12),
+    extra=st.integers(0, 40),
+    log_kappa=st.floats(0.0, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_least_squares_predictions_match_lstsq_at_the_rank_cutoff(
+    tall, small, extra, log_kappa, seed
+):
+    n, d = (small + extra, small) if tall else (small, small + extra + 1)
+    a, b, kept = _design(n, d, log_kappa, seed)
+    w = fit_pretext_linear(a, b).b.T
+    ref = np.linalg.lstsq(a, b, rcond=CUTOFF)[0]
+    kappa = kept.max() / kept.min()
+    tol = 64 * kappa**2 * EPS * np.linalg.norm(b)
+    assert np.abs(a @ w - a @ ref).max() <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 50),
+    d=st.integers(1, 10),
+    copies=st.lists(st.integers(0, 9), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_least_squares_is_the_minimum_norm_solution_on_duplicated_columns(
+    n, d, copies, seed
+):
+    rng = make_rng(seed)
+    base = rng.standard_normal((n, d))
+    a = np.concatenate([base, base[:, [c % d for c in copies]]], axis=1)
+    b = rng.standard_normal((n, 2))
+    s = np.linalg.svd(a, compute_uv=False)
+    kept = s[s > CUTOFF * s[0]]
+    ref = np.linalg.lstsq(a, b, rcond=CUTOFF)[0]
+    tol = 64 * (kept[0] / kept[-1]) ** 2 * EPS * np.linalg.norm(b) / kept[-1]
+    for w in (fit_pretext_linear(a, b).b.T, fit_downstream(a, b).w_hat):
+        assert np.abs(w - ref).max() <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    d=st.integers(1, 20),
+    log_ridge=st.floats(-4.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_least_squares_with_a_ridge_is_byte_equal_to_the_direct_solve(
+    n, d, log_ridge, seed
+):
+    rng = make_rng(seed)
+    a = rng.standard_normal((n, d))
+    b = rng.standard_normal((n, 3))
+    ridge = 10.0**log_ridge
+    want = np.linalg.solve(a.T @ a + n * ridge * np.eye(d), a.T @ b)
+    assert fit_pretext_linear(a, b, ridge).b.T.tobytes() == want.tobytes()
+    assert fit_downstream(a, b, ridge).w_hat.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

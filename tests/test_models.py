@@ -22,7 +22,7 @@ from sslci import (
     random_mixture_spec,
     random_topic_spec,
 )
-from sslci.models import DiscreteJoint, make_rng
+from sslci.models import DiscreteJoint, _gaussian_ci_head, make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +88,35 @@ def test_gaussian_sample_deterministic():
     assert np.array_equal(a.x1, b.x1)
     assert np.array_equal(a.y, b.y)
     assert not np.array_equal(a.x1, c.x1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4)),
+    spec_seed=st.integers(0, 10_000),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_gaussian_head_is_bit_equal_to_the_sample_y_and_x1(dims, spec_seed, n, seed):
+    spec = random_gaussian_ci_spec(*dims, seed=spec_seed)
+    y, x1, _ = _gaussian_ci_head(spec, n, seed)
+    full = gaussian_ci_sample(spec, n, seed)
+    # the model's first two draws: y, then the x1 noise
+    rng = make_rng(seed)
+    evals, vecs = np.linalg.eigh((spec.sigma_y + spec.sigma_y.T) / 2.0)
+    want_y = rng.standard_normal((n, spec.k)) @ ((vecs * np.sqrt(evals)) @ vecs.T).T
+    want_x1 = want_y @ spec.m1.T + spec.noise1 * rng.standard_normal((n, spec.d1))
+    for head, whole, want in ((y, full.y, want_y), (x1, full.x1, want_x1)):
+        assert head.shape == whole.shape and head.dtype == whole.dtype
+        assert head.tobytes() == whole.tobytes()
+        np.testing.assert_allclose(head, want, rtol=1e-12, atol=1e-12)
+
+
+def test_gaussian_head_rejects_empty_samples():
+    spec = random_gaussian_ci_spec(2, 2, 1, seed=9)
+    for draw in (_gaussian_ci_head, gaussian_ci_sample):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            draw(spec, 0, 1)
 
 
 # ---------------------------------------------------------------------------
