@@ -19,7 +19,7 @@ whitening constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,15 +93,21 @@ def build_operator_t(joint: DiscreteJoint) -> OperatorT:
     return OperatorT(t=joint.p_x1x2() / np.outer(d1, d2), d1=d1, d2=d2)
 
 
+def _label_marginal(joint: DiscreteJoint) -> Array:
+    """p(y), raising unless the joint has a label axis with no empty class."""
+    py = joint.marginal_y()
+    if py.min() <= 0:
+        raise ValueError("empty label class")
+    return py
+
+
 def build_operator_l(joint: DiscreteJoint) -> Array:
     """Label-factored kernel Σ_y p(x1|y)p(x2|y)p(y)/(p(x1)p(x2)).
 
     Rank is at most the label cardinality; equals the density-ratio kernel
     exactly when the views are conditionally independent given the label.
     """
-    py = joint.marginal_y()
-    if py.min() <= 0:
-        raise ValueError("empty label class")
+    py = _label_marginal(joint)
     num = joint.marginal_x1y() @ (joint.marginal_x2y() / py).T
     return num / np.outer(joint.marginal_x1(), joint.marginal_x2())
 
@@ -110,18 +116,24 @@ def eps_ci_tilde(joint: DiscreteJoint) -> float:
     """Operator norm of the difference kernel in the weighted geometry.
 
     Top singular value of W = D1^{1/2} (T − L) D2^{1/2}; zero exactly under
-    conditional independence given the label.  It is read as the square
-    root of the top eigenvalue of the smaller Gram matrix (WᵀW or WWᵀ),
-    which costs a symmetric eigensolve of min(|X1|, |X2|) rows instead of
-    an SVD.  The route is accurate for the top value only: the largest
-    eigenvalue of a Gram matrix carries relative error of order n·ε, so σ₁
-    keeps full relative accuracy (and stays at rounding level under exact CI),
-    while a singular value far below σ₁ would be lost to an absolute error
-    near √ε·σ₁.
+    conditional independence given the label.  L is never formed: its
+    weighted kernel D1^{1/2} L D2^{1/2} factors as
+    (p(x1, y)/√p(x1))·diag(1/p(y))·(p(x2, y)/√p(x2))ᵀ, so W is the
+    symmetrized density-ratio kernel minus one product of inner dimension
+    |Y|.  σ₁ is read as the square root of the top eigenvalue of the
+    smaller Gram matrix (WᵀW or WWᵀ), which costs a symmetric eigensolve of
+    min(|X1|, |X2|) rows instead of an SVD.  The route is accurate for the
+    top value only: the largest eigenvalue of a Gram matrix carries
+    relative error of order n·ε, so σ₁ keeps full relative accuracy (and
+    stays at rounding level under exact CI), while a singular value far
+    below σ₁ would be lost to an absolute error near √ε·σ₁.
     """
-    l_kernel = build_operator_l(joint)  # raises on a joint without labels
+    py = _label_marginal(joint)
     op = build_operator_t(joint)
-    w = replace(op, t=op.t - l_kernel).weighted
+    w = op.weighted
+    w -= (joint.marginal_x1y() / (np.sqrt(op.d1)[:, None] * py)) @ (
+        joint.marginal_x2y() / np.sqrt(op.d2)[:, None]
+    ).T
     gram = w.T @ w if w.shape[1] <= w.shape[0] else w @ w.T
     top = np.linalg.eigvalsh(gram)[-1]
     return float(np.sqrt(max(top, 0.0)))
@@ -156,10 +168,10 @@ def ace_fit(joint: DiscreteJoint, k: int) -> AceSolution:
     if k < 1 or k + 1 > min(n1, n2):
         raise ValueError("need 1 <= k and k+1 <= min(|X1|, |X2|)")
     op = build_operator_t(joint)
-    m = op.weighted
     u0 = np.sqrt(op.d1)
     v0 = np.sqrt(op.d2)
-    m_def = m - np.outer(u0, v0)
+    m_def = op.weighted
+    m_def -= np.outer(u0, v0)
     block = min(min(n1, n2) - 1, k + ACE_OVERSAMPLE)
     rng = make_rng(2718, n1, n2, k)
     h = _orthonormalize_against(rng.standard_normal((n2, block)), v0)
@@ -264,17 +276,16 @@ def apx_error_bound_eval(
     and actual = min_W E‖f*(X1) − Wᵀ[1, ψ(X1)]‖² by exact weighted least
     squares; asserts actual ≤ bound up to 1e-8.
     """
-    p1, p2, py = joint.marginal_x1(), joint.marginal_x2(), joint.marginal_y()
-    p2y = joint.marginal_x2y()
+    py = _label_marginal(joint)
+    p1, p2, p2y = joint.marginal_x1(), joint.marginal_x2(), joint.marginal_x2y()
     f_star = joint.marginal_x1y() / p1[:, None]  # P(y | x1), columns are targets
+    a = (p2y / py).T  # ny × |X2|, rows p(x2|y)
 
     # Not read: perfbench/tests/check_tracer.py pins five build_operator_t
     # calls per joint, two of them here, until the benchmark re-pins it.
     build_operator_t(joint)
-    l_kernel = build_operator_l(joint)
 
     if g_choice == "pinv_of_A":
-        a = (p2y / py).T  # ny × |X2|, rows p(x2|y)
         g = pinv(a)  # |X2| × ny
     elif g_choice == "bayes_indicator":
         # argmax_y p(y | x2) = argmax_y p(x2, y): p(x2) > 0 scales the row
@@ -282,8 +293,9 @@ def apx_error_bound_eval(
     else:
         raise ValueError("g_choice must be 'pinv_of_A' or 'bayes_indicator'")
 
+    # (L g_y)(x1) = Σ_y' p(y'|x1) E[g_y(X2) | Y = y'], through L's rank-|Y| factors
+    l_g = f_star @ (a @ g)
     weighted_g = p2[:, None] * g
-    l_g = l_kernel @ weighted_g  # (L g_y)(x1) for all y
     const_coef = p2 @ g  # inner products with the constant pair
     inner = solution.eta.T @ weighted_g
     t_k_g = const_coef + solution.psi @ (solution.sigmas[:, None] * inner)

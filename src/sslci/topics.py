@@ -219,18 +219,20 @@ def verify_latent_construction(spec: TopicModelSpec) -> TopicReport:
         np.sqrt((model.p_x1 * ((lhs - rhs) ** 2).sum(axis=1)).sum())
     )
 
-    # linearity: E[label | x1] vs wᵀ·(latent posterior)
+    # linearity: E[label | x1] vs wᵀ·(latent posterior).  Every (s1, s2)
+    # pair at once: p(s1, s2, atom j) = lik[s1, j]·τ_j·lik[s2, j], so its sum
+    # over atoms, and the same sum weighted by each atom's label wᵀμ_j, are
+    # two S×S matrix products.
     w, atoms, weights = spec.w, spec.tau_atoms, spec.tau_weights
     lik = model.likelihood  # S×m
-    linearity_gap = 0.0
+    lik_tau = lik * weights
+    mass = lik_tau @ lik.T  # p(s1, s2)
+    label_mass = (lik_tau * (atoms @ w)) @ lik.T
+    p_x2_given_x1 = mass / lik_tau.sum(axis=1)[:, None]
+    label_given_pair = label_mass / np.maximum(mass, 1e-300)
+    via_pairs = (p_x2_given_x1 * label_given_pair).sum(axis=1)
     direct = model.p_ybar_given_x1 @ w
-    for s1 in range(lik.shape[0]):
-        joint_atom = lik[s1][None, :] * lik * weights[None, :]  # S2×m
-        p_x2_given_x1 = joint_atom.sum(axis=1) / (lik[s1] * weights).sum()
-        post_full = joint_atom / np.maximum(joint_atom.sum(axis=1, keepdims=True), 1e-300)
-        label_given_pair = (post_full @ atoms) @ w
-        via_pairs = float((p_x2_given_x1 * label_given_pair).sum())
-        linearity_gap = max(linearity_gap, abs(via_pairs - float(direct[s1])))
+    linearity_gap = float(np.abs(via_pairs - direct).max())
 
     # coupling bound
     gamma = (atoms.T * weights) @ atoms  # E[μ μᵀ]

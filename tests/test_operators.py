@@ -14,6 +14,7 @@ from sslci import (
     eps_ci_tilde,
     maximal_correlation,
 )
+from sslci.linalg import pinv
 from sslci.models import make_rng
 from sslci.operators import ACE_TOL
 
@@ -25,6 +26,12 @@ def _product_joint(d1: int, d2: int, seed: int) -> DiscreteJoint:
     p1 /= p1.sum()
     p2 /= p2.sum()
     return DiscreteJoint(p=np.outer(p1, p2))
+
+
+def _joint_with_an_empty_label_class() -> DiscreteJoint:
+    p = discrete_joint_random((4, 3, 3), seed=1).p.copy()
+    p[:, :, 1] = 0.0
+    return DiscreteJoint(p=p / p.sum())
 
 
 def _bsc_joint(q: float) -> DiscreteJoint:
@@ -292,8 +299,14 @@ def test_maximal_correlation_k_out_of_range():
         lambda: ace_fit(discrete_joint_random((4, 3, 2), seed=1), k=3),
         lambda: maximal_correlation(discrete_joint_random((4, 3, 2), seed=1), k=3),
         lambda: eps_ci_tilde(discrete_joint_random((4, 3), seed=1)),
+        lambda: eps_ci_tilde(_joint_with_an_empty_label_class()),
     ],
-    ids=["ace_fit-k", "maximal_correlation-k", "eps_ci_tilde-no-label"],
+    ids=[
+        "ace_fit-k",
+        "maximal_correlation-k",
+        "eps_ci_tilde-no-label",
+        "eps_ci_tilde-empty-label-class",
+    ],
 )
 def test_invalid_calls_raise_before_building_the_operator(call, monkeypatch):
     def fail(joint):
@@ -362,6 +375,34 @@ def test_apx_bound_exact_ci_full_rank():
         assert actual <= 1e-8
 
 
+def _bound_through_the_dense_l(solution, joint, g_choice):
+    # the bound of apx_error_bound_eval, with L g from the dense |X1|×|X2| kernel
+    p1, p2, py = joint.marginal_x1(), joint.marginal_x2(), joint.marginal_y()
+    p2y = joint.marginal_x2y()
+    f_star = joint.marginal_x1y() / p1[:, None]
+    if g_choice == "pinv_of_A":
+        g = pinv((p2y / py).T)
+    else:
+        g = np.eye(py.size)[p2y.argmax(axis=1)]
+    weighted_g = p2[:, None] * g
+    l_g = build_operator_l(joint) @ weighted_g
+    t_k_g = p2 @ g + solution.psi @ (solution.sigmas[:, None] * (solution.eta.T @ weighted_g))
+    return 2.0 * (p1 @ ((t_k_g - l_g) ** 2 + (l_g - f_star) ** 2)).sum()
+
+
+@pytest.mark.parametrize("g_choice", ["pinv_of_A", "bayes_indicator"])
+@pytest.mark.parametrize("ci", [False, True], ids=["generic", "ci"])
+@pytest.mark.parametrize("sizes", [(30, 30, 4), (40, 25, 4), (25, 40, 4)])
+def test_apx_bound_value_matches_the_dense_label_kernel(sizes, ci, g_choice):
+    # k = 2 < |Y| − 1 pairs, so the bound stays well above rounding under CI too
+    joint = discrete_joint_random(sizes, seed=sum(sizes), ci_with_y=ci)
+    sol = ace_fit(joint, k=2)
+    bound, _ = apx_error_bound_eval(sol, joint, g_choice)
+    reference = _bound_through_the_dense_l(sol, joint, g_choice)
+    assert reference > 1e-6
+    assert bound == pytest.approx(reference, rel=1e-12)
+
+
 def test_apx_bound_rejects_bad_witness_name():
     joint = discrete_joint_random((4, 4, 2), seed=20)
     sol = ace_fit(joint, k=2)
@@ -370,7 +411,8 @@ def test_apx_bound_rejects_bad_witness_name():
 
 
 def test_apx_bound_requires_label():
-    joint = discrete_joint_random((4, 4), seed=21)
-    sol = ace_fit(joint, k=2)
-    with pytest.raises(ValueError):
-        apx_error_bound_eval(sol, joint)
+    for joint in (discrete_joint_random((4, 4), seed=21), _joint_with_an_empty_label_class()):
+        sol = ace_fit(joint, k=2)
+        for g_choice in ("pinv_of_A", "bayes_indicator"):
+            with pytest.raises(ValueError):
+                apx_error_bound_eval(sol, joint, g_choice)

@@ -159,11 +159,14 @@ def test_bar_y_likelihood_brute_force():
 
 
 def test_verify_latent_construction_random_specs():
-    for seed in range(5):
-        spec = random_topic_spec(4, 2, 3, 4, seed=seed)
+    # (vocab, topics, atoms, doc_len); the second is at the enumeration
+    # limits, a 330-row half-document support
+    shapes = [(4, 2, 3, 4)] * 5 + [(8, 3, 4, 8)] * 3
+    for seed, shape in enumerate(shapes):
+        spec = random_topic_spec(*shape, seed=seed)
         report = verify_latent_construction(spec)
         assert report.passed
-        assert report.latent_size == 2
+        assert report.latent_size == shape[1]
         assert report.eps_ci <= 1e-10
         assert report.linearity_gap <= 1e-10
         assert report.beta_inv <= report.beta_bound + 1e-12
