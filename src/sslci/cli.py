@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,8 @@ def read_joint_file(path: str | Path) -> DiscreteJoint:
     if len(tokens) < 3:
         raise ValueError("joint file needs a 3-integer header")
     n1, n2, ny = (int(t) for t in tokens[:3])
+    if min(n1, n2, ny) < 0:
+        raise ValueError(f"negative size in joint file header: {n1} {n2} {ny}")
     values = np.asarray([float(t) for t in tokens[3:]])
     shape = (n1, n2, ny) if ny > 0 else (n1, n2)
     expected = int(np.prod(shape))
@@ -66,9 +69,10 @@ def read_topic_spec_file(path: str | Path) -> TopicModelSpec:
 
     Matrix values use ';' between rows and ',' between entries.  Keys:
     ``a`` (V rows of k entries), ``tau_weights``, ``tau_atoms`` (one row
-    per atom), ``w``, ``doc_len``, ``noise_sigma``.
+    per atom), ``w``, ``doc_len``, ``noise_sigma``; any other key is an
+    error.
     """
-    values = {key: raw for _, key, raw in _read_key_values(path)}
+    values = dict(_read_key_values(path, {f.name for f in fields(TopicModelSpec)}))
 
     def matrix(raw: str) -> np.ndarray:
         return np.asarray(
@@ -131,8 +135,7 @@ def _cmd_selfcheck(args) -> int:
 
 def _cmd_ace(args) -> int:
     joint = read_joint_file(args.joint)
-    op = build_operator_t(joint)
-    svals = np.linalg.svd(op.weighted, compute_uv=False)
+    svals = np.linalg.svd(build_operator_t(joint).weighted, compute_uv=False)
     print("weighted singular values:", " ".join(f"{s:.6f}" for s in svals[:8]))
     k = min(args.k, min(joint.p.shape[:2]) - 1)
     solution = ace_fit(joint, k=k)

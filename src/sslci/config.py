@@ -10,7 +10,7 @@ compute.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Container, Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -99,11 +99,13 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"bad value for '{key}': {raw!r}") from exc
 
 
-def _read_key_values(path: str | Path) -> Iterator[tuple[int, str, str]]:
-    """Yield ``(line number, key, raw value)`` per key=value line of a file.
+def _read_key_values(
+    path: str | Path, known: Container[str]
+) -> Iterator[tuple[str, str]]:
+    """Yield ``(key, raw value)`` per key=value line of a file.
 
     '#' starts a comment and blank lines are ignored; any other line
-    without '=' is a :class:`ConfigError`.
+    without '=', or with a key not in ``known``, is a :class:`ConfigError`.
     """
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -112,17 +114,15 @@ def _read_key_values(path: str | Path) -> Iterator[tuple[int, str, str]]:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        yield lineno, key, raw
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        yield key, raw
 
 
 def parse_config_file(path: str | Path) -> dict:
     """Read key=value lines; '#' starts a comment; blank lines ignored."""
-    values: dict = {}
-    for lineno, key, raw in _read_key_values(path):
-        if key not in _DEFAULTS:
-            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-        values[key] = _parse_value(key, raw)
-    return values
+    pairs = _read_key_values(path, _DEFAULTS)
+    return {key: _parse_value(key, raw) for key, raw in pairs}
 
 
 def load_config(

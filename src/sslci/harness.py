@@ -254,15 +254,20 @@ def summarize(rows: list[TrialRow]) -> list[tuple[str, float, str, float, float]
 
 
 def write_line_plot_svg(path: Path, summary: list[tuple], title: str) -> None:
-    """Deterministic SVG of ``summarize`` rows: a line + stderr band per method."""
+    """Deterministic SVG of ``summarize`` rows: a line + stderr band per method.
+
+    Rows with a non-finite mean or stderr (degenerate trials) are not drawn
+    and do not set the axis ranges; with none left the plot has axes only.
+    """
     methods: dict[str, list[tuple[float, float, float]]] = {}
     for _, grid_value, method, mean, stderr in summary:
-        methods.setdefault(method, []).append((grid_value, mean, stderr))
+        if np.isfinite(mean) and np.isfinite(stderr):
+            methods.setdefault(method, []).append((grid_value, mean, stderr))
     width, height, margin = 640, 420, 60
-    xs = [g for pts in methods.values() for g, _, _ in pts]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo = min(m - s for pts in methods.values() for _, m, s in pts)
-    y_hi = max(m + s for pts in methods.values() for _, m, s in pts)
+    drawn = [pt for pts in methods.values() for pt in pts] or [(0.0, 0.0, 0.0)]
+    x_lo, x_hi = min(g for g, _, _ in drawn), max(g for g, _, _ in drawn)
+    y_lo = min(m - s for _, m, s in drawn)
+    y_hi = max(m + s for _, m, s in drawn)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:

@@ -176,26 +176,21 @@ def fit_downstream(
     return DownstreamFit(w_hat=w)
 
 
-def _risk(fit: DownstreamFit, rep, f_star, eval_x1, half: bool) -> float:
-    x = _as_float(eval_x1)
-    pred = fit.predict(rep(x)).reshape(x.shape[0], -1)
-    target = _as_float(f_star(x)).reshape(x.shape[0], -1)
-    gap = ((target - pred) ** 2).sum(axis=1).mean()
-    return float(0.5 * gap if half else gap)
-
-
 def excess_risk(fit: DownstreamFit, rep, f_star, eval_x1) -> float:
     """Monte-Carlo ½·E‖f*(x) − Ŵᵀψ(x)‖² over the given evaluation points.
 
     ``rep`` is any callable mapping an n×d1 batch to representation
     outputs; ``f_star`` maps the same batch to the optimal predictions.
     """
-    return _risk(fit, rep, f_star, eval_x1, half=True)
+    return 0.5 * mean_squared_error(fit, rep, f_star, eval_x1)
 
 
 def mean_squared_error(fit: DownstreamFit, rep, f_star, eval_x1) -> float:
     """Same average as :func:`excess_risk` without the 1/2 factor."""
-    return _risk(fit, rep, f_star, eval_x1, half=False)
+    x = _as_float(eval_x1)
+    pred = fit.predict(rep(x)).reshape(x.shape[0], -1)
+    target = _as_float(f_star(x)).reshape(x.shape[0], -1)
+    return float(((target - pred) ** 2).sum(axis=1).mean())
 
 
 def log_loss_eval(scores, labels, gamma: float = 1.0) -> float:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .learn import _least_squares
 from .linalg import Array, _as_float, _sign_fix_columns, pinv
 from .models import DiscreteJoint, make_rng
 
@@ -129,10 +130,9 @@ def eps_ci_tilde(joint: DiscreteJoint) -> float:
     below σ₁ would be lost to an absolute error near √ε·σ₁.
     """
     py = _label_marginal(joint)
-    op = build_operator_t(joint)
-    w = op.weighted
-    w -= (joint.marginal_x1y() / (np.sqrt(op.d1)[:, None] * py)) @ (
-        joint.marginal_x2y() / np.sqrt(op.d2)[:, None]
+    w = build_operator_t(joint).weighted
+    w -= (joint.marginal_x1y() / (np.sqrt(joint.marginal_x1())[:, None] * py)) @ (
+        joint.marginal_x2y() / np.sqrt(joint.marginal_x2())[:, None]
     ).T
     gram = w.T @ w if w.shape[1] <= w.shape[0] else w @ w.T
     top = np.linalg.eigvalsh(gram)[-1]
@@ -167,10 +167,9 @@ def ace_fit(joint: DiscreteJoint, k: int) -> AceSolution:
     n1, n2 = joint.p.shape[:2]
     if k < 1 or k + 1 > min(n1, n2):
         raise ValueError("need 1 <= k and k+1 <= min(|X1|, |X2|)")
-    op = build_operator_t(joint)
-    u0 = np.sqrt(op.d1)
-    v0 = np.sqrt(op.d2)
-    m_def = op.weighted
+    u0 = np.sqrt(joint.marginal_x1())
+    v0 = np.sqrt(joint.marginal_x2())
+    m_def = build_operator_t(joint).weighted
     m_def -= np.outer(u0, v0)
     block = min(min(n1, n2) - 1, k + ACE_OVERSAMPLE)
     rng = make_rng(2718, n1, n2, k)
@@ -198,11 +197,9 @@ def ace_fit(joint: DiscreteJoint, k: int) -> AceSolution:
     signs = _sign_fix_columns(psi_w)
     psi_w = psi_w * signs
     h = h * signs
-    psi = psi_w / np.sqrt(op.d1)[:, None]
-    eta = h / np.sqrt(op.d2)[:, None]
     return AceSolution(
-        psi=psi,
-        eta=eta,
+        psi=psi_w / u0[:, None],
+        eta=h / v0[:, None],
         sigmas=sigmas,
         iterations=iterations,
         converged=converged,
@@ -218,8 +215,7 @@ def maximal_correlation(joint: DiscreteJoint, k: int) -> float:
     """
     if k < 1 or k >= min(joint.p.shape[:2]):
         raise ValueError("k out of range")
-    op = build_operator_t(joint)
-    svals = np.linalg.svd(op.weighted, compute_uv=False)
+    svals = np.linalg.svd(build_operator_t(joint).weighted, compute_uv=False)
     return float(min(max(svals[k], 0.0), 1.0))
 
 
@@ -273,8 +269,10 @@ def apx_error_bound_eval(
 
     Returns ``(bound, actual)`` with
     bound = Σ_y 2(‖(T_k − L)g_y‖² + ‖L g_y − f*_y‖²)  (norms in L²(p(x1)))
-    and actual = min_W E‖f*(X1) − Wᵀ[1, ψ(X1)]‖² by exact weighted least
-    squares; asserts actual ≤ bound up to 1e-8.
+    and actual = min_W E‖f*(X1) − Wᵀ[1, ψ(X1)]‖² by weighted least squares;
+    asserts actual ≤ bound up to 1e-8.  The weighted design
+    [√p(x1), √p(x1)·ψ] has orthonormal columns, so its normal equations
+    are as accurate as an SVD solve.
     """
     py = _label_marginal(joint)
     p1, p2, p2y = joint.marginal_x1(), joint.marginal_x2(), joint.marginal_x2y()
@@ -305,7 +303,7 @@ def apx_error_bound_eval(
 
     features = np.concatenate([np.ones((p1.size, 1)), solution.psi], axis=1)
     sw = np.sqrt(p1)[:, None]
-    w, *_ = np.linalg.lstsq(sw * features, sw * f_star, rcond=None)
+    w = _least_squares(sw * features, sw * f_star, 0.0)
     actual = float(((sw * (features @ w - f_star)) ** 2).sum())
     if actual > bound + 1e-8:
         raise AssertionError("achieved error exceeds the bound")

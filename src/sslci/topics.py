@@ -219,18 +219,12 @@ def verify_latent_construction(spec: TopicModelSpec) -> TopicReport:
         np.sqrt((model.p_x1 * ((lhs - rhs) ** 2).sum(axis=1)).sum())
     )
 
-    # linearity: E[label | x1] vs wᵀ·(latent posterior).  Every (s1, s2)
-    # pair at once: p(s1, s2, atom j) = lik[s1, j]·τ_j·lik[s2, j], so its sum
-    # over atoms, and the same sum weighted by each atom's label wᵀμ_j, are
-    # two S×S matrix products.
+    # linearity: E[label | x1] vs wᵀ·(latent posterior).  Summed over every
+    # second half s2, p(s2 | s1)·E[label | s1, s2] is the tower sum
+    # Σ_j p(atom j | s1)·wᵀμ_j·Σ_s2 p(s2 | atom j), O(S·m); it matches the
+    # direct route only if the enumerated likelihood sums to one per atom.
     w, atoms, weights = spec.w, spec.tau_atoms, spec.tau_weights
-    lik = model.likelihood  # S×m
-    lik_tau = lik * weights
-    mass = lik_tau @ lik.T  # p(s1, s2)
-    label_mass = (lik_tau * (atoms @ w)) @ lik.T
-    p_x2_given_x1 = mass / lik_tau.sum(axis=1)[:, None]
-    label_given_pair = label_mass / np.maximum(mass, 1e-300)
-    via_pairs = (p_x2_given_x1 * label_given_pair).sum(axis=1)
+    via_pairs = model.atom_posterior @ ((atoms @ w) * model.likelihood.sum(axis=0))
     direct = model.p_ybar_given_x1 @ w
     linearity_gap = float(np.abs(via_pairs - direct).max())
 

@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from sslci.harness import (
     run,
     selfcheck_checks,
     summarize,
+    write_line_plot_svg,
 )
 from sslci.learn import closed_form_psi_gaussian
 from sslci.models import derive_seed, gaussian_ci_sample
@@ -244,6 +246,47 @@ def test_run_plot_output(tmp_path):
     assert "polyline" in svg
 
 
+PLOT_SUMMARY = [
+    ("e", g, method, mean + 0.1 * g, 0.05)
+    for method, mean in (("psi", 1.0), ("raw-x1", 2.0))
+    for g in (1.0, 2.0, 4.0)
+]
+
+
+def _svg_points(text):
+    root = ET.fromstring(text)
+    return [el.get("points") for el in root.iter() if el.get("points") is not None]
+
+
+@pytest.mark.parametrize(
+    "degenerate",
+    [
+        ("e", 2.0, "degenerate", float("nan"), float("nan")),
+        ("e", 4.0, "psi", float("nan"), 0.0),
+    ],
+    ids=["own-method", "inside-a-series"],
+)
+def test_plot_skips_degenerate_rows(tmp_path, degenerate):
+    kept = [row for row in PLOT_SUMMARY if row[1:3] != degenerate[1:3]]
+    write_line_plot_svg(tmp_path / "with.svg", kept + [degenerate], "e")
+    write_line_plot_svg(tmp_path / "without.svg", kept, "e")
+    text = (tmp_path / "with.svg").read_text()
+    assert "nan" not in text
+    assert text == (tmp_path / "without.svg").read_text()
+    assert len(_svg_points(text)) == 4  # a band and a line per finite series
+
+
+def test_plot_of_an_all_degenerate_summary_is_valid_svg(tmp_path):
+    nan = float("nan")
+    summary = [("e", g, "degenerate", nan, nan) for g in (1.0, 2.0)]
+    write_line_plot_svg(tmp_path / "plot.svg", summary, "e")
+    text = (tmp_path / "plot.svg").read_text()
+    assert "nan" not in text
+    root = ET.fromstring(text)
+    assert root.tag.endswith("svg")
+    assert _svg_points(text) == []
+
+
 def test_summarize_mean_and_stderr():
     rows = [
         TrialRow("e", 1.0, t, "m", mse, 0.0, 0) for t, mse in enumerate([1.0, 2.0, 3.0])
@@ -452,6 +495,16 @@ def test_read_joint_file_bad_total(tmp_path):
         read_joint_file(_write(tmp_path, "j.txt", text))
 
 
+@pytest.mark.parametrize("header", ["2 2 -3", "2 2 -1", "-2 2 -1"])
+def test_read_joint_file_negative_size(tmp_path, capsys, header):
+    # each header's product of sizes matches the four probabilities given
+    path = _write(tmp_path, "j.txt", f"{header}\n0.25 0.25 0.25 0.25\n")
+    with pytest.raises(ValueError, match="negative size"):
+        read_joint_file(path)
+    assert main(["ace", "--joint", path]) == 2
+    assert "negative size" in capsys.readouterr().err
+
+
 def test_read_topic_spec_file(tmp_path):
     spec = read_topic_spec_file(_write(tmp_path, "t.txt", TOPIC_SPEC))
     assert spec.vocab == 4 and spec.topics == 2
@@ -462,6 +515,14 @@ def test_read_topic_spec_file(tmp_path):
 def test_read_topic_spec_file_missing_key(tmp_path):
     with pytest.raises(ValueError):
         read_topic_spec_file(_write(tmp_path, "t.txt", "doc_len = 4\n"))
+
+
+def test_read_topic_spec_file_unknown_key(tmp_path, capsys):
+    path = _write(tmp_path, "t.txt", TOPIC_SPEC.replace("noise_sigma", "noise_sgima"))
+    with pytest.raises(ValueError, match=r"t\.txt:7: unknown key 'noise_sgima'"):
+        read_topic_spec_file(path)
+    assert main(["topic", "--spec", path]) == 2
+    assert "unknown key 'noise_sgima'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

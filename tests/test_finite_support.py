@@ -10,12 +10,17 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sslci import (
+    DiscreteJoint,
     ace_fit,
+    ace_objective_identity_check,
     apx_error_bound_eval,
     bayes_gap_check,
     build_operator_l,
+    build_operator_t,
     discrete_joint_random,
     eps_ci_tilde,
     eps_ci_universal,
@@ -118,6 +123,37 @@ def test_finite_support_layer_matches_direct_summation(sizes, seed, ci):
             apx_error_bound_eval(solution, joint, g_choice),
             _oracle_apx(solution, p, g_choice),
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n1=st.integers(3, 24),
+    n2=st.integers(3, 24),
+    ny=st.integers(2, 4),
+    concentration=st.sampled_from([1.0, 0.1, 0.02]),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_finite_support_layer_on_dirichlet_joints(n1, n2, ny, concentration, k, seed):
+    # small concentrations give sparse joints with marginals spread over
+    # many orders of magnitude
+    k = min(k, min(n1, n2) - 1)
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.full(n1 * n2 * ny, concentration)).reshape(n1, n2, ny)
+    joint = DiscreteJoint(p=p)
+    svals = np.linalg.svd(build_operator_t(joint).weighted, compute_uv=False)
+    solution = ace_fit(joint, k=k)
+    assert np.abs(solution.sigmas - svals[1 : k + 1]).max() <= 1e-8
+    ace_objective_identity_check(solution, joint)
+    actual_oracle = _oracle_apx(solution, joint.p, "pinv_of_A")[1]
+    for g_choice in ("pinv_of_A", "bayes_indicator"):
+        bound, actual = apx_error_bound_eval(solution, joint, g_choice)
+        assert actual <= bound + 1e-8
+        assert _close(actual, actual_oracle)
+    oracle = _oracle_eps_ci_tilde(joint.p)
+    assert abs(eps_ci_tilde(joint) - oracle) <= 1e-12 * oracle
+    lhs, rhs = bayes_gap_check(joint)
+    assert lhs <= rhs
 
 
 @pytest.mark.parametrize(

@@ -172,6 +172,19 @@ def test_verify_latent_construction_random_specs():
         assert report.beta_inv <= report.beta_bound + 1e-12
 
 
+@pytest.mark.parametrize("drop", [0, -1])
+def test_linearity_gap_catches_an_incomplete_enumeration(monkeypatch, drop):
+    complete = topics._count_vectors
+
+    def one_row_short(total, vocab):
+        return np.delete(complete(total, vocab), drop, axis=0)
+
+    monkeypatch.setattr(topics, "_count_vectors", one_row_short)
+    report = verify_latent_construction(random_topic_spec(8, 3, 4, 8, seed=1))
+    assert report.linearity_gap > 1e-10
+    assert not report.passed
+
+
 def test_verify_latent_construction_zero_weights():
     spec = random_topic_spec(4, 2, 3, 4, seed=6)
     zeroed = TopicModelSpec(
