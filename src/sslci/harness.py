@@ -54,6 +54,7 @@ from .operators import (
     build_operator_l,
     build_operator_t,
     eps_ci_tilde,
+    maximal_correlation,
 )
 from .topics import random_topic_spec, verify_latent_construction
 
@@ -442,6 +443,8 @@ def _check_operator_suite() -> None:
     solution = ace_fit(joint2, k=2)
     dense = np.linalg.svd(op2.weighted, compute_uv=False)
     assert np.abs(solution.sigmas - dense[1:3]).max() < 1e-8
+    for j in (1, 2):  # the ACE route of maximal_correlation
+        assert abs(maximal_correlation(joint2, j) - dense[j]) <= 1e-10
     ace_objective_identity_check(solution, joint2)
     for g_choice in ("pinv_of_A", "bayes_indicator"):
         bound, actual = apx_error_bound_eval(solution, joint2, g_choice)

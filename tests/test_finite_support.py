@@ -10,7 +10,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sslci import (
@@ -25,8 +25,10 @@ from sslci import (
     eps_ci_tilde,
     eps_ci_universal,
     eps_y_bar,
+    maximal_correlation,
 )
 from sslci.linalg import pinv
+from sslci.operators import ACE_TOL
 
 SIZES = [(3, 2, 2), (4, 5, 3), (6, 7, 2), (8, 7, 3), (12, 11, 3)]
 JOINTS = [
@@ -154,6 +156,57 @@ def test_finite_support_layer_on_dirichlet_joints(n1, n2, ny, concentration, k, 
     assert abs(eps_ci_tilde(joint) - oracle) <= 1e-12 * oracle
     lhs, rhs = bayes_gap_check(joint)
     assert lhs <= rhs
+
+
+def _sin_max_angle(basis: np.ndarray, q: np.ndarray) -> float:
+    """Sine of the largest principal angle between two orthonormal bases."""
+    return float(np.linalg.norm(q - basis @ (basis.T @ q), 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n1=st.integers(3, 24),
+    n2=st.integers(3, 24),
+    ny=st.integers(2, 4),
+    concentration=st.sampled_from([1.0, 0.1, 0.02]),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_singular_values_and_subspaces_on_dirichlet_joints(
+    n1, n2, ny, concentration, k, seed
+):
+    # every maximal correlation against the dense SVD, and ψ/η against the
+    # singular vectors of the deflated kernel M: by Wedin's theorem the sine
+    # of the largest principal angle is at most residual / (σ_k − σ_{k+1}).
+    # The reference deflates too, because σ₁ can sit within 1e-8 of the
+    # constant pair's 1, where the SVD of the full kernel mixes the two.
+    k = min(k, min(n1, n2) - 1)
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.full(n1 * n2 * ny, concentration)).reshape(n1, n2, ny)
+    # at concentration 0.02 a whole row can underflow to zero
+    assume(p.sum(axis=(1, 2)).min() > 0 and p.sum(axis=(0, 2)).min() > 0)
+    joint = DiscreteJoint(p=p)
+    op = build_operator_t(joint)
+    svals = np.linalg.svd(op.weighted, compute_uv=False)
+    for j in range(1, min(n1, n2)):
+        value = maximal_correlation(joint, j)
+        assert 0.0 <= value <= 1.0
+        assert abs(value - svals[j]) <= 1e-10, j
+    solution = ace_fit(joint, k=k)
+    root1, root2 = np.sqrt(op.d1)[:, None], np.sqrt(op.d2)[:, None]
+    psi_w, eta_w = solution.psi * root1, solution.eta * root2
+    m_def = op.weighted - root1 @ root2.T
+    residual = max(
+        np.linalg.norm(m_def @ eta_w - psi_w * solution.sigmas, axis=0).max(),
+        np.linalg.norm(m_def.T @ psi_w - eta_w * solution.sigmas, axis=0).max(),
+    )
+    assert solution.converged
+    assert solution.residual < ACE_TOL
+    assert abs(residual - solution.residual) < 1e-14
+    u, s, vt = np.linalg.svd(m_def, full_matrices=False)
+    bound = 10.0 * (ACE_TOL + 1e-15)
+    assert _sin_max_angle(u[:, :k], psi_w) * (s[k - 1] - s[k]) < bound
+    assert _sin_max_angle(vt[:k].T, eta_w) * (s[k - 1] - s[k]) < bound
 
 
 @pytest.mark.parametrize(

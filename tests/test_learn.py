@@ -419,6 +419,24 @@ def test_mse_is_twice_excess_risk():
     )
 
 
+def test_excess_risk_is_half_the_mean_squared_error_bit_for_bit():
+    # halving is exact in binary floating point, so an approximate
+    # comparison would let a wrong factor such as 0.5000001 through
+    rng = make_rng(23)
+    x = rng.standard_normal((200, 4))
+    rep = LinearRepresentation(b=rng.standard_normal((3, 4)))
+    fit = fit_downstream(rep(x), rng.standard_normal((200, 2)))
+    f_map = rng.standard_normal((2, 4))
+
+    def target(v):
+        return v @ f_map.T
+
+    ev = rng.standard_normal((100, 4))
+    mse = mean_squared_error(fit, rep, target, ev)
+    assert mse > 0.0
+    assert excess_risk(fit, rep, target, ev) == 0.5 * mse
+
+
 # ---------------------------------------------------------------------------
 # log loss
 

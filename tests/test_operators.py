@@ -14,6 +14,7 @@ from sslci import (
     eps_ci_tilde,
     maximal_correlation,
 )
+from sslci import operators
 from sslci.linalg import pinv
 from sslci.models import make_rng
 from sslci.operators import ACE_TOL
@@ -285,6 +286,19 @@ def test_maximal_correlation_range_and_monotone():
     values = [maximal_correlation(joint, k=k) for k in range(1, 6)]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def test_unconverged_engine_is_reported(monkeypatch):
+    # plain ACE needs more than 100 sweeps on this joint, so one block step
+    # cannot reach ACE_TOL
+    joint = discrete_joint_random((200, 200, 3), seed=0)
+    monkeypatch.setattr(operators, "ACE_MAX_ITERS", 1)
+    sol = ace_fit(joint, k=3)
+    assert not sol.converged
+    assert sol.iterations == 1
+    assert np.isfinite(sol.residual) and sol.residual >= ACE_TOL
+    with pytest.raises(np.linalg.LinAlgError):
+        maximal_correlation(joint, k=3)
 
 
 def test_maximal_correlation_k_out_of_range():
