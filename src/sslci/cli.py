@@ -112,13 +112,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_selfcheck(args) -> int:
     failures = 0
-    checks = selfcheck_checks()
-    if args.inject_failure:
-        def _always_fails():
-            raise AssertionError("injected failure")
-
-        checks = checks + [("injected", _always_fails)]
-    for name, check in checks:
+    for name, check in selfcheck_checks():
         try:
             check()
         except Exception as exc:  # noqa: BLE001 - report and keep going
@@ -184,7 +178,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.set_defaults(func=_cmd_run)
 
     p_check = sub.add_parser("selfcheck", help="run the fast invariant suite")
-    p_check.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
     p_check.set_defaults(func=_cmd_selfcheck)
 
     p_ace = sub.add_parser("ace", help="operator diagnostics for a discrete joint")

@@ -3,8 +3,8 @@
 Quantifies how far two views are from being conditionally independent
 given a (possibly latent) discrete variable:
 
-- ``eps_ci_linear``: norm of the whitened partial cross-covariance of the
-  views given the one-hot latent embedding,
+- ``eps_ci_linear``: Frobenius norm of the whitened partial
+  cross-covariance of the views given the one-hot latent embedding,
 - ``eps_ci_universal``: exact conditional-mean mismatch on finite supports,
 - ``beta_inv``: spectral norm coupling the label to the second view
   through the latent,
@@ -35,7 +35,7 @@ from .linalg import (
     partial_cov,
     pinv,
 )
-from .models import DiscreteJoint
+from .models import DiscreteJoint, _label_marginal
 
 __all__ = [
     "BetaInvReport",
@@ -57,8 +57,8 @@ class CIReport:
 
     eps_ci: float
     beta_inv: float
-    rank_sigma_x2ybar: int = 0
-    degenerate: bool = False
+    rank_sigma_x2ybar: int
+    degenerate: bool
 
     def __post_init__(self):
         if self.eps_ci < 0 or self.beta_inv < 0:
@@ -80,16 +80,14 @@ def eps_ci_linear(
     sigma_ybarybar,
     sigma_ybarx2,
     *,
-    norm: str = "fro",
     return_degenerate: bool = False,
 ):
     """Whitened partial cross-covariance norm of the views given the latent.
 
-    Computes ‖Σ_{φ1φ1}^{−1/2} · Σ_{φ1 X2 | φ_ȳ}‖ with the requested norm
-    ("fro" default, "2" for spectral).  Zero exactly when the views are
-    conditionally independent given the latent (population blocks).
-    Eigenvalues of Σ_{ȳȳ} and Σ_{φ1φ1} at most ``DEFAULT_RANK_TOL`` times
-    their largest count as zero.
+    Computes the Frobenius norm ‖Σ_{φ1φ1}^{−1/2} · Σ_{φ1 X2 | φ_ȳ}‖_F.
+    Zero exactly when the views are conditionally independent given the
+    latent (population blocks).  Eigenvalues of Σ_{ȳȳ} and Σ_{φ1φ1} at most
+    ``DEFAULT_RANK_TOL`` times their largest count as zero.
     """
     cond, degenerate = partial_cov(
         sigma_phi1x2,
@@ -99,23 +97,17 @@ def eps_ci_linear(
         return_degenerate=True,
     )
     white = inv_sqrt(sigma_phi1phi1) @ cond
-    if norm == "fro":
-        value = float(np.linalg.norm(white, "fro"))
-    elif norm == "2":
-        value = float(np.linalg.norm(white, 2))
-    else:
-        raise ValueError("norm must be 'fro' or '2'")
+    value = float(np.linalg.norm(white, "fro"))
     if return_degenerate:
         return value, degenerate
     return value
 
 
-def _sample_blocks(phi1, x2, ybar_onehot, center: bool) -> tuple[Array, ...]:
+def _sample_blocks(phi1, x2, ybar_onehot) -> tuple[Array, ...]:
     """Σ_φ1φ1, Σ_φ1X2, Σ_φ1ȳ, Σ_ȳȳ, Σ_ȳX2 from samples, each centred once."""
-    if center:
-        phi1, x2, ybar_onehot = (
-            m - m.mean(axis=0) for m in map(_as_float, (phi1, x2, ybar_onehot))
-        )
+    phi1, x2, ybar_onehot = (
+        m - m.mean(axis=0) for m in map(_as_float, (phi1, x2, ybar_onehot))
+    )
     return (
         empirical_cov(phi1, phi1, False),
         empirical_cov(phi1, x2, False),
@@ -125,9 +117,9 @@ def _sample_blocks(phi1, x2, ybar_onehot, center: bool) -> tuple[Array, ...]:
     )
 
 
-def eps_ci_linear_from_data(phi1, x2, ybar_onehot, *, center: bool = True) -> float:
-    """Sample version of :func:`eps_ci_linear` (Frobenius norm) from raw matrices."""
-    return eps_ci_linear(*_sample_blocks(phi1, x2, ybar_onehot, center))
+def eps_ci_linear_from_data(phi1, x2, ybar_onehot) -> float:
+    """Sample version of :func:`eps_ci_linear` from raw matrices, centred."""
+    return eps_ci_linear(*_sample_blocks(phi1, x2, ybar_onehot))
 
 
 def _conditional_mean_gap(p1, p1t, p1l, ptl, pl) -> float:
@@ -135,10 +127,8 @@ def _conditional_mean_gap(p1, p1t, p1l, ptl, pl) -> float:
 
     Takes the marginals p(x1), p(x1, t), p(x1, ȳ), p(t, ȳ) and p(ȳ) of a
     joint over (x1, target t, latent ȳ); the value is evaluated by direct
-    summation over the support.
+    summation over the support.  Every entry of p(ȳ) must be positive.
     """
-    if pl.min() <= 0:
-        raise ValueError("latent marginal has a zero cell")
     alt = (p1l / p1[:, None]) @ (ptl / pl).T
     gap2 = ((p1t / p1[:, None] - alt) ** 2).sum(axis=1)
     return float(np.sqrt((p1 * gap2).sum()))
@@ -152,7 +142,7 @@ def eps_ci_universal(joint: DiscreteJoint) -> float:
     summation over the support.  The tensor axes are (x1, x2, latent).
     """
     p1, p1y, p2y = joint.marginal_x1(), joint.marginal_x1y(), joint.marginal_x2y()
-    return _conditional_mean_gap(p1, joint.p_x1x2(), p1y, p2y, joint.marginal_y())
+    return _conditional_mean_gap(p1, joint.p_x1x2(), p1y, p2y, _label_marginal(joint))
 
 
 def beta_inv(sigma_y_phiybar, sigma_x2_phiybar) -> BetaInvReport:
@@ -188,7 +178,9 @@ def bayes_gap_check(joint: DiscreteJoint) -> tuple[float, float]:
 
     Returns ``(lhs, rhs)`` where lhs = E‖E[Y|X1] − E[Y|X1,X2]‖² with
     one-hot labels and rhs = 2·k·E[1 − max_y P(y|X1)], both by exact
-    summation; lhs ≤ rhs always holds.
+    summation; lhs ≤ rhs always holds.  rhs sums p(x1, y) over the non-max
+    classes instead of forming 1 − max, so it keeps its relative accuracy
+    when those classes hold less than a rounding error of p(x1).
     """
     p1, p1y, p12 = joint.marginal_x1(), joint.marginal_x1y(), joint.p_x1x2()
     py_x1 = p1y / p1[:, None]
@@ -196,7 +188,9 @@ def bayes_gap_check(joint: DiscreteJoint) -> tuple[float, float]:
         py_x1x2 = np.where(p12[:, :, None] > 0, joint.p / p12[:, :, None], 0.0)
     gap2 = ((py_x1[:, None, :] - py_x1x2) ** 2).sum(axis=2)
     lhs = float((p12 * gap2).sum())
-    rhs = float(2.0 * p1y.shape[1] * (p1 * (1.0 - py_x1.max(axis=1))).sum())
+    ny = p1y.shape[1]
+    non_max = np.where(np.arange(ny) == p1y.argmax(axis=1)[:, None], 0.0, p1y)
+    rhs = float(2.0 * ny * non_max.sum())
     return lhs, rhs
 
 
@@ -214,9 +208,9 @@ def spectrum_conditional(blocks: CovarianceBlocks) -> tuple[Array, Array]:
     return uncond, cond
 
 
-def ci_report_from_data(x1, x2, ybar_onehot, *, center: bool = True) -> CIReport:
-    """Empirical :class:`CIReport` from raw two-view labeled samples."""
-    blocks = _sample_blocks(x1, x2, ybar_onehot, center)
+def ci_report_from_data(x1, x2, ybar_onehot) -> CIReport:
+    """Empirical :class:`CIReport` from raw two-view labeled samples, centred."""
+    blocks = _sample_blocks(x1, x2, ybar_onehot)
     eps, degenerate = eps_ci_linear(*blocks, return_degenerate=True)
     sigma_ybarybar, sigma_ybarx2 = blocks[3:]
     beta = beta_inv(sigma_ybarybar, sigma_ybarx2.T)

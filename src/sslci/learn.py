@@ -193,13 +193,13 @@ def mean_squared_error(fit: DownstreamFit, rep, f_star, eval_x1) -> float:
     return float(((target - pred) ** 2).sum(axis=1).mean())
 
 
-def log_loss_eval(scores, labels, gamma: float = 1.0) -> float:
-    """Mean softmax cross-entropy of scaled scores.
+def log_loss_eval(scores, labels) -> float:
+    """Mean softmax cross-entropy of the scores as given.
 
     ``scores`` is n×k, ``labels`` integer class indices; the loss is the
-    mean over rows of −log softmax(gamma·score)[label].
+    mean over rows of −log softmax(score)[label], with no temperature.
     """
-    z = gamma * _as_float(scores)
+    z = _as_float(scores)
     if z.ndim != 2 or z.shape[1] < 2:
         raise ValueError("scores must be n×k with k >= 2")
     idx = np.asarray(labels, dtype=int)

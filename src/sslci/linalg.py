@@ -54,9 +54,9 @@ def _store_float_fields(obj, shapes: dict[str, tuple[int, ...]]) -> None:
         object.__setattr__(obj, name, value)
 
 
-def _kept(values: Array, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
-    """Mask of the values above ``rank_tol`` times the largest; none if that is <= 0."""
-    return values > rank_tol * values.max(initial=0.0)
+def _kept(values: Array) -> Array:
+    """Mask of values above ``DEFAULT_RANK_TOL`` times the max; none if the max <= 0."""
+    return values > DEFAULT_RANK_TOL * values.max(initial=0.0)
 
 
 def _softmax_rows(z: Array) -> Array:
@@ -131,31 +131,29 @@ def partial_cov(
     return out
 
 
-def solve_psd(
-    sigma: Array, rhs: Array, rank_tol: float = DEFAULT_RANK_TOL
-) -> tuple[Array, bool]:
+def solve_psd(sigma: Array, rhs: Array) -> tuple[Array, bool]:
     """Solve Σ X = rhs for a symmetric PSD Σ; returns ``(X, degenerate)``.
 
     Σ is symmetrized first.  When its smallest eigenvalue is at most
-    ``rank_tol`` times the largest (or Σ is zero), the solve falls back to
-    the pseudo-inverse and ``degenerate`` is True.
+    ``DEFAULT_RANK_TOL`` times the largest (or Σ is zero), the solve falls
+    back to the pseudo-inverse and ``degenerate`` is True.
     """
     sym = (sigma + sigma.T) / 2.0
-    keep = _kept(np.linalg.eigvalsh(sym), rank_tol)
+    keep = _kept(np.linalg.eigvalsh(sym))
     if not keep.all() or keep.size == 0:
-        return pinv(sym, rank_tol) @ rhs, True
+        return pinv(sym) @ rhs, True
     return np.linalg.solve(sym, rhs), False
 
 
-def pinv(m, rank_tol: float = DEFAULT_RANK_TOL) -> Array:
+def pinv(m) -> Array:
     """Moore–Penrose pseudo-inverse via SVD.
 
-    Singular values below ``rank_tol`` times the largest are treated as
-    zero.  Total function: any real matrix is accepted.
+    Singular values at most ``DEFAULT_RANK_TOL`` times the largest are
+    treated as zero.  Total function: any real matrix is accepted.
     """
     mat = np.atleast_2d(_as_float(m))
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    keep = _kept(s, rank_tol)
+    keep = _kept(s)
     return (vt[keep].T / s[keep]) @ u[:, keep].T
 
 

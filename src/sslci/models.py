@@ -327,6 +327,14 @@ class DiscreteJoint:
         return self._marginal("x2y")
 
 
+def _label_marginal(joint: DiscreteJoint) -> Array:
+    """p(y), raising unless the joint has a label axis with no empty class."""
+    py = joint.marginal_y()
+    if py.min() <= 0:
+        raise ValueError("empty label class")
+    return py
+
+
 def discrete_joint_random(
     sizes: tuple[int, ...], seed: int, ci_with_y: bool = False
 ) -> DiscreteJoint:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .learn import _least_squares
 from .linalg import Array, _as_float, _sign_fix_columns, pinv
-from .models import DiscreteJoint, make_rng
+from .models import DiscreteJoint, _label_marginal, make_rng
 
 __all__ = [
     "AceSolution",
@@ -89,22 +89,14 @@ class AceSolution:
     iterations: int
     converged: bool
     #: max over the k pairs of ‖M η − σψ‖ and ‖Mᵀψ − ση‖ in the weighted
-    #: geometry at the last Ritz check; NaN means not measured.
-    residual: float = float("nan")
+    #: geometry at the last Ritz check.
+    residual: float
 
 
 def build_operator_t(joint: DiscreteJoint) -> OperatorT:
     """Density-ratio operator of a discrete joint (marginals must be > 0)."""
     d1, d2 = joint.marginal_x1(), joint.marginal_x2()
     return OperatorT(t=joint.p_x1x2() / np.outer(d1, d2), d1=d1, d2=d2)
-
-
-def _label_marginal(joint: DiscreteJoint) -> Array:
-    """p(y), raising unless the joint has a label axis with no empty class."""
-    py = joint.marginal_y()
-    if py.min() <= 0:
-        raise ValueError("empty label class")
-    return py
 
 
 def build_operator_l(joint: DiscreteJoint) -> Array:

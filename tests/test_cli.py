@@ -571,8 +571,13 @@ def test_cli_selfcheck(capsys):
     assert "all checks passed" in out
 
 
-def test_cli_selfcheck_injected_failure(capsys):
-    assert main(["selfcheck", "--inject-failure"]) == 1
+def test_cli_selfcheck_injected_failure(capsys, monkeypatch):
+    def _always_fails():
+        raise AssertionError("injected failure")
+
+    checks = sslci.cli.selfcheck_checks() + [("injected", _always_fails)]
+    monkeypatch.setattr(sslci.cli, "selfcheck_checks", lambda: checks)
+    assert main(["selfcheck"]) == 1
     assert "FAIL injected" in capsys.readouterr().out
 
 

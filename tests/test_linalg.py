@@ -133,7 +133,7 @@ def test_partial_cov_well_conditioned_z_not_degenerate():
 )
 def test_solve_psd_flags_only_singular_sigma(sigma, degenerate):
     rhs = np.array([[1.0], [2.0]])
-    x, flag = solve_psd(sigma, rhs, 1e-10)
+    x, flag = solve_psd(sigma, rhs)
     assert flag is degenerate
     assert np.allclose(x, pinv(sigma) @ rhs, atol=1e-12)
 

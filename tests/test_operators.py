@@ -1,5 +1,7 @@
 """Density-ratio operators, the alternating solver, and the error bound."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -355,14 +357,7 @@ def test_objective_identity_product_joint_value():
 def test_objective_identity_rejects_infeasible():
     joint = discrete_joint_random((4, 4), seed=19)
     sol = ace_fit(joint, k=2)
-    bad = AceSolutionLike = type(sol)(
-        psi=2.0 * sol.psi,
-        eta=sol.eta,
-        sigmas=sol.sigmas,
-        iterations=sol.iterations,
-        converged=sol.converged,
-    )
-    del AceSolutionLike
+    bad = dataclasses.replace(sol, psi=2.0 * sol.psi)
     with pytest.raises(ValueError):
         ace_objective_identity_check(bad, joint)
 
