@@ -30,6 +30,7 @@ from .linalg import (
     CovarianceBlocks,
     _as_float,
     _kept,
+    _singular,
     empirical_cov,
     inv_sqrt,
     partial_cov,
@@ -53,7 +54,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CIReport:
-    """Summary of conditional-independence diagnostics for one model."""
+    """Summary of conditional-independence diagnostics for one model.
+
+    ``rank_sigma_x2ybar`` is the numerical rank of Σ_X2ȳ; ``degenerate``
+    flags a singular Σ_ȳȳ or that rank below the latent cardinality k, both
+    of which a centred one-hot ȳ always has (its rank is at most k − 1).
+    """
 
     eps_ci: float
     beta_inv: float
@@ -74,33 +80,19 @@ class BetaInvReport(NamedTuple):
 
 
 def eps_ci_linear(
-    sigma_phi1phi1,
-    sigma_phi1x2,
-    sigma_phi1ybar,
-    sigma_ybarybar,
-    sigma_ybarx2,
-    *,
-    return_degenerate: bool = False,
-):
+    sigma_phi1phi1, sigma_phi1x2, sigma_phi1ybar, sigma_ybarybar, sigma_ybarx2
+) -> float:
     """Whitened partial cross-covariance norm of the views given the latent.
 
     Computes the Frobenius norm ‖Σ_{φ1φ1}^{−1/2} · Σ_{φ1 X2 | φ_ȳ}‖_F.
     Zero exactly when the views are conditionally independent given the
-    latent (population blocks).  Eigenvalues of Σ_{ȳȳ} and Σ_{φ1φ1} at most
-    ``DEFAULT_RANK_TOL`` times their largest count as zero.
+    latent (population blocks).  A singular Σ_{ȳȳ} falls back to the
+    pseudo-inverse, as in :func:`~sslci.linalg.solve_psd`; eigenvalues of
+    Σ_{φ1φ1} at most ``DEFAULT_RANK_TOL`` times their largest count as zero.
     """
-    cond, degenerate = partial_cov(
-        sigma_phi1x2,
-        sigma_phi1ybar,
-        sigma_ybarybar,
-        sigma_ybarx2,
-        return_degenerate=True,
-    )
+    cond = partial_cov(sigma_phi1x2, sigma_phi1ybar, sigma_ybarybar, sigma_ybarx2)
     white = inv_sqrt(sigma_phi1phi1) @ cond
-    value = float(np.linalg.norm(white, "fro"))
-    if return_degenerate:
-        return value, degenerate
-    return value
+    return float(np.linalg.norm(white, "fro"))
 
 
 def _sample_blocks(phi1, x2, ybar_onehot) -> tuple[Array, ...]:
@@ -209,14 +201,18 @@ def spectrum_conditional(blocks: CovarianceBlocks) -> tuple[Array, Array]:
 
 
 def ci_report_from_data(x1, x2, ybar_onehot) -> CIReport:
-    """Empirical :class:`CIReport` from raw two-view labeled samples, centred."""
+    """Empirical :class:`CIReport` from raw two-view labeled samples, centred.
+
+    Centred one-hot columns sum to zero, so a one-hot ȳ always gives a
+    singular Σ_ȳȳ, rank(Σ_X2ȳ) ≤ k − 1 and ``degenerate``: an expected fallback.
+    """
     blocks = _sample_blocks(x1, x2, ybar_onehot)
-    eps, degenerate = eps_ci_linear(*blocks, return_degenerate=True)
     sigma_ybarybar, sigma_ybarx2 = blocks[3:]
     beta = beta_inv(sigma_ybarybar, sigma_ybarx2.T)
     return CIReport(
-        eps_ci=eps,
+        eps_ci=eps_ci_linear(*blocks),
         beta_inv=beta.value,
         rank_sigma_x2ybar=beta.rank,
-        degenerate=degenerate or beta.degenerate,
+        degenerate=_singular((sigma_ybarybar + sigma_ybarybar.T) / 2.0)
+        or beta.degenerate,
     )

@@ -61,20 +61,13 @@ class DownstreamFit:
         return _as_float(psi_x) @ self.w_hat
 
 
-def closed_form_psi_gaussian(
-    blocks: CovarianceBlocks, *, return_degenerate: bool = False
-):
+def closed_form_psi_gaussian(blocks: CovarianceBlocks) -> LinearRepresentation:
     """Population representation B = Σ_{X2X1} Σ_{X1X1}⁻¹ as a linear map.
 
-    Falls back to the pseudo-inverse when Σ_{X1X1} is singular (smallest
-    eigenvalue at most ``DEFAULT_RANK_TOL`` times the largest); with
-    ``return_degenerate=True`` returns ``(representation, flag)``.
+    A singular Σ_{X1X1} falls back to the pseudo-inverse, as in ``solve_psd``.
     """
-    solved, degenerate = solve_psd(blocks.sigma_x1x1, blocks.sigma_x1x2)
-    rep = LinearRepresentation(b=solved.T)
-    if return_degenerate:
-        return rep, degenerate
-    return rep
+    solved, _ = solve_psd(blocks.sigma_x1x1, blocks.sigma_x1x2)
+    return LinearRepresentation(b=solved.T)
 
 
 def closed_form_f_gaussian(blocks: CovarianceBlocks) -> Array:

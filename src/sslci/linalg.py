@@ -109,38 +109,29 @@ def empirical_cov(samples_a, samples_b, center: bool = True) -> Array:
     return a.T @ b / n
 
 
-def partial_cov(
-    sigma_ab,
-    sigma_az,
-    sigma_zz,
-    sigma_zb,
-    *,
-    return_degenerate: bool = False,
-):
+def partial_cov(sigma_ab, sigma_az, sigma_zz, sigma_zb) -> Array:
     """Partial covariance Σ_{AB|Z} = Σ_{AB} − Σ_{AZ} Σ_{ZZ}⁻¹ Σ_{ZB}.
 
-    A singular Σ_{ZZ} (smallest eigenvalue at most ``DEFAULT_RANK_TOL``
-    times the largest) falls back to the pseudo-inverse; with
-    ``return_degenerate=True`` the function returns ``(matrix, flag)`` where
-    the flag reports that fallback.
+    A singular Σ_{ZZ} falls back to the pseudo-inverse, as in :func:`solve_psd`.
     """
-    solved, degenerate = solve_psd(_as_float(sigma_zz), _as_float(sigma_zb))
-    out = _as_float(sigma_ab) - _as_float(sigma_az) @ solved
-    if return_degenerate:
-        return out, degenerate
-    return out
+    solved, _ = solve_psd(_as_float(sigma_zz), _as_float(sigma_zb))
+    return _as_float(sigma_ab) - _as_float(sigma_az) @ solved
+
+
+def _singular(sym: Array) -> bool:
+    """The singular-block rule: ``sym`` is empty or an eigenvalue is not ``_kept``."""
+    keep = _kept(np.linalg.eigvalsh(sym))
+    return keep.size == 0 or not keep.all()
 
 
 def solve_psd(sigma: Array, rhs: Array) -> tuple[Array, bool]:
     """Solve Σ X = rhs for a symmetric PSD Σ; returns ``(X, degenerate)``.
 
-    Σ is symmetrized first.  When its smallest eigenvalue is at most
-    ``DEFAULT_RANK_TOL`` times the largest (or Σ is zero), the solve falls
-    back to the pseudo-inverse and ``degenerate`` is True.
+    Σ is symmetrized first.  If :func:`_singular`, the one singular-block
+    rule, holds, the solve falls back to the pseudo-inverse and sets ``degenerate``.
     """
     sym = (sigma + sigma.T) / 2.0
-    keep = _kept(np.linalg.eigvalsh(sym))
-    if not keep.all() or keep.size == 0:
+    if _singular(sym):
         return pinv(sym) @ rhs, True
     return np.linalg.solve(sym, rhs), False
 
@@ -285,7 +276,7 @@ def gaussian_conditionals_from_precision(
     """
     joint = blocks.joint()
     sym = (joint + joint.T) / 2.0
-    if not _kept(np.linalg.eigvalsh(sym)).all():
+    if _singular(sym):
         raise ValueError("joint covariance is singular")
     prec = np.linalg.inv(sym)
     d1, d2 = blocks.d1, blocks.d2

@@ -120,11 +120,10 @@ def eps_ci_tilde(joint: DiscreteJoint) -> float:
     symmetrized density-ratio kernel minus one product of inner dimension
     |Y|.  σ₁ is read as the square root of the top eigenvalue of the
     smaller Gram matrix (WᵀW or WWᵀ), which costs a symmetric eigensolve of
-    min(|X1|, |X2|) rows instead of an SVD.  The route is accurate for the
-    top value only: the largest eigenvalue of a Gram matrix carries
-    relative error of order n·ε, so σ₁ keeps full relative accuracy (and
-    stays at rounding level under exact CI), while a singular value far
-    below σ₁ would be lost to an absolute error near √ε·σ₁.
+    min(|X1|, |X2|) rows instead of an SVD.  The contract is absolute: the
+    result is within 16·ε of the exact value (ε the machine epsilon; σ₁ of
+    the weighted T is 1).  Near CI, W is a cancellation of T and L, so a
+    small value carries relative error up to about ε/σ₁(W).
     """
     py = _label_marginal(joint)
     w = build_operator_t(joint).weighted

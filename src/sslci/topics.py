@@ -197,7 +197,8 @@ def verify_latent_construction(spec: TopicModelSpec) -> TopicReport:
     3. the optimal label predictor from the first view is exactly linear
        in the latent posterior,
     4. 1/β = ‖(wᵀΓ)(AΓ)†‖₂ is at most κ·‖w‖₂ / s_min(A) where
-       Γ = E[μμᵀ] and κ is Γ's condition number.
+       Γ = E[μμᵀ], κ is Γ's condition number and s_min(A) is the k-th
+       singular value of the V×k word matrix (0 when V < k: bound inf).
 
     Refuses specs beyond the enumeration limits.
     """
@@ -232,9 +233,10 @@ def verify_latent_construction(spec: TopicModelSpec) -> TopicReport:
     gamma = (atoms.T * weights) @ atoms  # E[μ μᵀ]
     evals = np.linalg.eigvalsh((gamma + gamma.T) / 2.0)
     kappa = float(evals.max() / evals.min()) if evals.min() > 0 else float("inf")
-    s_min_a = float(np.linalg.svd(spec.a, compute_uv=False)[-1])
+    s_a = np.linalg.svd(spec.a, compute_uv=False)
+    s_min_a = float(s_a[-1]) if s_a.size == spec.topics else 0.0
     beta_inv_val = beta_inv((w @ gamma)[None, :], spec.a @ gamma).value
-    beta_bound = kappa * float(np.linalg.norm(w)) / s_min_a
+    beta_bound = kappa * float(np.linalg.norm(w)) / s_min_a if s_min_a else float("inf")
 
     passed = (
         eps_ci <= 1e-10

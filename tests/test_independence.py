@@ -15,12 +15,13 @@ from sslci import (
     eps_ci_universal,
     eps_y_bar,
     gaussian_ci_population,
+    gaussian_ci_sample,
     mixture_sample,
     random_gaussian_ci_spec,
     random_mixture_spec,
     spectrum_conditional,
 )
-from sslci.linalg import inv_sqrt
+from sslci.linalg import inv_sqrt, solve_psd
 from sslci.models import make_rng
 
 
@@ -273,6 +274,23 @@ def test_ci_report_from_data_fields():
     assert report.rank_sigma_x2ybar >= 1
 
 
+@pytest.mark.parametrize("k", [2, 5, 8])
+def test_one_hot_latent_is_always_degenerate(k):
+    # centred one-hot columns sum to zero: Σ_ȳȳ is singular and
+    # rank(Σ_X2ȳ) stops at k − 1 even with k <= d2
+    data = mixture_sample(random_mixture_spec(k, 4, 9, alpha=0.3, seed=k), 4_000, seed=1)
+    report = ci_report_from_data(data.x1, data.x2, data.y)
+    assert report.rank_sigma_x2ybar == k - 1
+    assert report.degenerate
+
+
+def test_gaussian_latent_is_not_degenerate():
+    data = gaussian_ci_sample(random_gaussian_ci_spec(4, 6, 3, seed=2), 4_000, seed=3)
+    report = ci_report_from_data(data.x1, data.x2, data.y)
+    assert report.rank_sigma_x2ybar == 3
+    assert not report.degenerate
+
+
 def _five_blocks_centred_per_call(x1, x2, ybar, center):
     return (
         empirical_cov(x1, x1, center),
@@ -300,7 +318,8 @@ def test_ci_report_from_data_matches_separate_block_calls(center):
     spec = random_mixture_spec(5, 6, 4, alpha=0.4, seed=18)
     data = mixture_sample(spec, 3_000, seed=19)
     blocks = _five_blocks_centred_per_call(data.x1, data.x2, data.y, center)
-    eps, degenerate = eps_ci_linear(*blocks, return_degenerate=True)
+    eps = eps_ci_linear(*blocks)
+    degenerate = solve_psd(blocks[3], blocks[4])[1]
     beta = beta_inv(
         empirical_cov(data.y, data.y, center), empirical_cov(data.x2, data.y, center)
     )

@@ -26,6 +26,7 @@ from sslci import (
     random_mixture_spec,
 )
 from sslci.learn import mixture_two_class_target
+from sslci.linalg import solve_psd
 from sslci.models import make_rng
 
 
@@ -58,16 +59,16 @@ def test_closed_form_psi_scalar():
 
 def test_closed_form_psi_well_conditioned_not_degenerate():
     blocks = gaussian_ci_population(random_gaussian_ci_spec(5, 4, 2, seed=3))
-    rep, degenerate = closed_form_psi_gaussian(blocks, return_degenerate=True)
-    assert not degenerate
+    rep = closed_form_psi_gaussian(blocks)
+    assert not solve_psd(blocks.sigma_x1x1, blocks.sigma_x1x2)[1]
     oracle = np.linalg.solve(blocks.sigma_x1x1, blocks.sigma_x1x2).T
     assert np.allclose(rep.b, oracle, atol=1e-12)
 
 
 def test_closed_form_psi_singular_flags_degenerate():
     blocks = _scalar_blocks(0.0, 0.0, 0.0, 1.0, 0.3, 1.0)
-    rep, degenerate = closed_form_psi_gaussian(blocks, return_degenerate=True)
-    assert degenerate
+    rep = closed_form_psi_gaussian(blocks)
+    assert solve_psd(blocks.sigma_x1x1, blocks.sigma_x1x2)[1]
     assert np.array_equal(rep.b, np.zeros((1, 1)))
 
 

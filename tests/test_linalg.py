@@ -105,20 +105,16 @@ def test_partial_cov_matches_block_inverse_oracle():
 
 def test_partial_cov_singular_z_flags_degenerate():
     szz = np.diag([1.0, 0.0])
-    out, degenerate = partial_cov(
-        np.eye(2), np.eye(2), szz, np.eye(2), return_degenerate=True
-    )
-    assert degenerate
+    out = partial_cov(np.eye(2), np.eye(2), szz, np.eye(2))
+    assert solve_psd(szz, np.eye(2))[1]
     assert np.allclose(out, np.diag([0.0, 1.0]))
 
 
 def test_partial_cov_well_conditioned_z_not_degenerate():
     szz = np.array([[2.0, 0.5], [0.5, 1.0]])
     szb = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])
-    out, degenerate = partial_cov(
-        np.zeros((1, 3)), np.ones((1, 2)), szz, szb, return_degenerate=True
-    )
-    assert not degenerate
+    out = partial_cov(np.zeros((1, 3)), np.ones((1, 2)), szz, szb)
+    assert not solve_psd(szz, szb)[1]
     assert np.allclose(out, -np.ones((1, 2)) @ np.linalg.inv(szz) @ szb, atol=1e-12)
 
 

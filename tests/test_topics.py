@@ -214,6 +214,15 @@ def test_verify_latent_construction_refuses_large_specs():
         verify_latent_construction(big)
 
 
+def test_coupling_bound_is_inf_when_vocab_is_below_topics():
+    # a 2×3 word matrix has rank 2 < k = 3, so s_min(A) = 0: the bound is vacuous
+    spec = random_topic_spec(2, 3, 4, 4, seed=0)
+    assert np.linalg.matrix_rank(spec.a) < spec.topics
+    report = verify_latent_construction(spec)
+    assert report.beta_bound == float("inf")
+    assert report.passed
+
+
 def test_verify_latent_construction_kappa_one_for_single_topic():
     report = verify_latent_construction(_single_topic_spec())
     assert report.kappa == pytest.approx(1.0)
