@@ -72,7 +72,8 @@ def read_topic_spec_file(path: str | Path) -> TopicModelSpec:
     per atom), ``w``, ``doc_len``, ``noise_sigma``; any other key is an
     error.
     """
-    values = dict(_read_key_values(path, {f.name for f in fields(TopicModelSpec)}))
+    keys = {f.name for f in fields(TopicModelSpec) if f.init}  # not the dimensions
+    values = dict(_read_key_values(path, keys))
 
     def matrix(raw: str) -> np.ndarray:
         return np.asarray(

@@ -411,9 +411,6 @@ def _check_mixture_identity() -> None:
     mu1 = rng.uniform(0, 10, 4)
     mu2 = rng.uniform(0, 10, 3)
     spec = MixtureSpec(
-        k=2,
-        d1=4,
-        d2=3,
         centers1=np.vstack([mu1, -mu1]),
         centers2=np.vstack([mu2, -mu2]),
         alpha=0.0,

@@ -8,7 +8,7 @@ state, deterministic output for identical input bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -41,16 +41,26 @@ def _as_float(m) -> Array:
     return out
 
 
-def _store_float_fields(obj, shapes: dict[str, tuple[int, ...]]) -> None:
-    """Store each named field of a frozen dataclass as ``_as_float`` of itself.
+def _store_float_fields(obj, dims: dict[str, tuple[str, ...]]) -> None:
+    """The one shape rule of the spec containers.
 
-    Raises when a field has non-finite entries or a shape other than the
-    one given.
+    ``dims`` names the axes of each array field of a frozen dataclass, e.g.
+    ``{"centers1": ("k", "d1"), "centers2": ("k", "d2")}``.  Each field is
+    stored as ``_as_float`` of itself and needs one axis per name; a named
+    dimension must be >= 1 and the same size wherever it appears.  Each size
+    is stored as an int attribute of its name, declared ``field(init=False)``.
+    Raises ``ValueError`` on non-finite entries or any other shape.
     """
-    for name, want in shapes.items():
+    sizes: dict[str, int] = {}
+    for name, axes in dims.items():
         value = _as_float(getattr(obj, name))
-        if value.shape != want:
-            raise ValueError(f"{name} has shape {value.shape}, expected {want}")
+        if value.ndim != len(axes):
+            raise ValueError(f"{name} has shape {value.shape}, expected axes {axes}")
+        for axis, size in zip(axes, value.shape):
+            if size < 1 or sizes.setdefault(axis, size) != size:
+                want = f"{axis} = {sizes[axis]}" if size else f"{axis} >= 1"
+                raise ValueError(f"{name} has shape {value.shape}, expected {want}")
+            object.__setattr__(obj, axis, size)
         object.__setattr__(obj, name, value)
 
 
@@ -199,7 +209,8 @@ class CovarianceBlocks:
 
     The same container carries analytic population blocks and empirical
     estimates; every diagonal block is symmetric PSD and the assembled
-    joint matrix is PSD.  Blocks are stored as finite float64 arrays.
+    joint matrix is PSD.  Blocks are stored as finite float64 arrays;
+    ``d1``, ``d2`` and ``k`` are read from their shapes.
     """
 
     sigma_x1x1: Array
@@ -208,32 +219,22 @@ class CovarianceBlocks:
     sigma_x2x2: Array
     sigma_x2y: Array
     sigma_yy: Array
+    d1: int = field(init=False)
+    d2: int = field(init=False)
+    k: int = field(init=False)
 
     def __post_init__(self):
-        d1, d2, k = self.d1, self.d2, self.k
         _store_float_fields(
             self,
             {
-                "sigma_x1x1": (d1, d1),
-                "sigma_x1x2": (d1, d2),
-                "sigma_x1y": (d1, k),
-                "sigma_x2x2": (d2, d2),
-                "sigma_x2y": (d2, k),
-                "sigma_yy": (k, k),
+                "sigma_x1x1": ("d1", "d1"),
+                "sigma_x1x2": ("d1", "d2"),
+                "sigma_x1y": ("d1", "k"),
+                "sigma_x2x2": ("d2", "d2"),
+                "sigma_x2y": ("d2", "k"),
+                "sigma_yy": ("k", "k"),
             },
         )
-
-    @property
-    def d1(self) -> int:
-        return np.shape(self.sigma_x1x1)[0]
-
-    @property
-    def d2(self) -> int:
-        return np.shape(self.sigma_x2x2)[0]
-
-    @property
-    def k(self) -> int:
-        return np.shape(self.sigma_yy)[0]
 
     def joint(self) -> Array:
         """Assemble the full (d1+d2+k)-square covariance matrix."""

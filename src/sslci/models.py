@@ -17,7 +17,7 @@ same bits and parallel trials never share state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,30 +77,23 @@ class GaussianCISpec:
 
     Y ~ N(0, sigma_y), ε_i ~ N(0, noise_i²·I) independent, so the views
     are conditionally independent given Y by construction.  The arrays are
-    stored as finite float64 arrays.
+    stored as finite float64 arrays, whose shapes give ``d1``, ``d2``, ``k``.
     """
 
-    d1: int
-    d2: int
-    k: int
     m1: Array
     m2: Array
     noise1: float
     noise2: float
     sigma_y: Array
+    d1: int = field(init=False)
+    d2: int = field(init=False)
+    k: int = field(init=False)
 
     def __post_init__(self):
-        if min(self.d1, self.d2, self.k) < 1:
-            raise ValueError("dimensions must be >= 1")
         if not self.noise1 > 0 or not self.noise2 > 0:
             raise ValueError("noise scales must be positive")
         _store_float_fields(
-            self,
-            {
-                "m1": (self.d1, self.k),
-                "m2": (self.d2, self.k),
-                "sigma_y": (self.k, self.k),
-            },
+            self, {"m1": ("d1", "k"), "m2": ("d2", "k"), "sigma_y": ("k", "k")}
         )
 
 
@@ -152,9 +145,6 @@ def random_gaussian_ci_spec(d1: int, d2: int, k: int, seed: int) -> GaussianCISp
     g = rng.standard_normal((k, k))
     sigma_y = g @ g.T / k + 0.5 * np.eye(k)
     return GaussianCISpec(
-        d1=d1,
-        d2=d2,
-        k=k,
         m1=rng.standard_normal((d1, k)),
         m2=rng.standard_normal((d2, k)),
         noise1=float(rng.uniform(0.5, 1.5)),
@@ -172,22 +162,20 @@ class MixtureSpec:
     X1 with zeros (d1 < d2) or truncating to its first d2 coordinates
     (d1 > d2).  alpha = 0 gives exact conditional independence given the
     label; alpha = 1 makes X2 a deterministic function of X1.  The centres
-    are stored as finite float64 arrays.
+    are stored as finite float64 arrays, whose shapes give ``k``, ``d1``, ``d2``.
     """
 
-    k: int
-    d1: int
-    d2: int
     centers1: Array
     centers2: Array
     alpha: float
+    k: int = field(init=False)
+    d1: int = field(init=False)
+    d2: int = field(init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-        _store_float_fields(
-            self, {"centers1": (self.k, self.d1), "centers2": (self.k, self.d2)}
-        )
+        _store_float_fields(self, {"centers1": ("k", "d1"), "centers2": ("k", "d2")})
 
 
 def random_mixture_spec(
@@ -196,9 +184,6 @@ def random_mixture_spec(
     """Centers drawn once, uniformly from [0, 10)^d, keyed by seed."""
     rng = make_rng(seed, 101)
     return MixtureSpec(
-        k=k,
-        d1=d1,
-        d2=d2,
         centers1=rng.uniform(0.0, 10.0, (k, d1)),
         centers2=rng.uniform(0.0, 10.0, (k, d2)),
         alpha=alpha,

@@ -16,13 +16,13 @@ enumeration of the half-document count space at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .independence import beta_inv
-from .linalg import Array, _as_float, _softmax_rows
+from .linalg import Array, _softmax_rows, _store_float_fields
 from .models import LabeledDataset, make_rng
 
 __all__ = [
@@ -47,7 +47,8 @@ class TopicModelSpec:
     """Topic model with word matrix ``a`` (V×k, columnwise stochastic),
     finite mixture prior (``tau_weights`` over ``tau_atoms`` on the
     simplex), even document length, downstream weights ``w`` and label
-    noise scale.  The arrays are stored as finite float64 arrays."""
+    noise scale.  The arrays are stored as finite float64 arrays;
+    ``vocab`` (V), ``topics`` (k) and ``atoms`` are read from their shapes."""
 
     a: Array
     tau_weights: Array
@@ -55,39 +56,38 @@ class TopicModelSpec:
     doc_len: int
     w: Array
     noise_sigma: float
+    vocab: int = field(init=False)
+    topics: int = field(init=False)
+    atoms: int = field(init=False)
 
     def __post_init__(self):
-        for name in ("a", "tau_weights", "tau_atoms", "w"):
-            object.__setattr__(self, name, _as_float(getattr(self, name)))
+        _store_float_fields(
+            self,
+            {
+                "a": ("vocab", "topics"),
+                "tau_weights": ("atoms",),
+                "tau_atoms": ("atoms", "topics"),
+                "w": ("topics",),
+            },
+        )
         a, weights, atoms = self.a, self.tau_weights, self.tau_atoms
-        if a.ndim != 2 or np.abs(a.sum(axis=0) - 1.0).max() > 1e-10 or a.min() < 0:
+        if np.abs(a.sum(axis=0) - 1.0).max() > 1e-10 or a.min() < 0:
             raise ValueError("columns of a must be distributions")
         if abs(weights.sum() - 1.0) > 1e-10 or weights.min() < 0:
             raise ValueError("tau weights must be a distribution")
-        if atoms.shape != (weights.size, a.shape[1]):
-            raise ValueError("tau atoms shape mismatch")
         if np.abs(atoms.sum(axis=1) - 1.0).max() > 1e-10 or atoms.min() < -1e-12:
             raise ValueError("tau atoms must lie on the simplex")
         if self.doc_len < 2 or self.doc_len % 2 != 0:
             raise ValueError("doc_len must be even and >= 2")
-        if self.w.shape != (a.shape[1],):
-            raise ValueError("w shape mismatch")
         if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be nonnegative")
-
-    @property
-    def vocab(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def topics(self) -> int:
-        return self.a.shape[1]
 
 
 def random_topic_spec(
     vocab: int, topics: int, atoms: int, doc_len: int, seed: int
 ) -> TopicModelSpec:
-    """Random desk-scale spec with a full-rank word matrix."""
+    """Random desk-scale spec whose word matrix has rank min(vocab, topics)
+    (below k when vocab < topics, so the coupling bound is ``inf``)."""
     rng = make_rng(seed, 303)
     a = rng.uniform(0.1, 1.0, (vocab, topics)) + np.eye(vocab, topics)
     a /= a.sum(axis=0)

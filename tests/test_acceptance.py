@@ -78,9 +78,6 @@ def test_acceptance_2_two_class_mixture_identity():
     mu1 = rng.uniform(0.0, 10.0, 8)
     mu2 = rng.uniform(0.0, 10.0, 5)
     spec = MixtureSpec(
-        k=2,
-        d1=8,
-        d2=5,
         centers1=np.vstack([mu1, -mu1]),
         centers2=np.vstack([mu2, -mu2]),
         alpha=0.0,

@@ -517,12 +517,14 @@ def test_read_topic_spec_file_missing_key(tmp_path):
         read_topic_spec_file(_write(tmp_path, "t.txt", "doc_len = 4\n"))
 
 
-def test_read_topic_spec_file_unknown_key(tmp_path, capsys):
-    path = _write(tmp_path, "t.txt", TOPIC_SPEC.replace("noise_sigma", "noise_sgima"))
-    with pytest.raises(ValueError, match=r"t\.txt:7: unknown key 'noise_sgima'"):
+# "vocab" names a dimension that TopicModelSpec reads from its word matrix.
+@pytest.mark.parametrize("bad", ["noise_sgima", "vocab"])
+def test_read_topic_spec_file_unknown_key(tmp_path, capsys, bad):
+    path = _write(tmp_path, "t.txt", TOPIC_SPEC.replace("noise_sigma", bad))
+    with pytest.raises(ValueError, match=rf"t\.txt:7: unknown key '{bad}'"):
         read_topic_spec_file(path)
     assert main(["topic", "--spec", path]) == 2
-    assert "unknown key 'noise_sgima'" in capsys.readouterr().err
+    assert f"unknown key '{bad}'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -113,9 +113,6 @@ def test_exact_ci_linear_identity():
 
 def test_mixture_psi_one_hot_posterior_returns_center():
     spec = MixtureSpec(
-        k=2,
-        d1=1,
-        d2=2,
         centers1=np.array([[0.0], [100.0]]),
         centers2=np.array([[1.0, 2.0], [3.0, 4.0]]),
         alpha=0.0,
@@ -126,9 +123,6 @@ def test_mixture_psi_one_hot_posterior_returns_center():
 
 def test_mixture_psi_equidistant_average():
     spec = MixtureSpec(
-        k=2,
-        d1=2,
-        d2=2,
         centers1=np.array([[0.0, 0.0], [2.0, 0.0]]),
         centers2=np.array([[1.0, 0.0], [0.0, 1.0]]),
         alpha=0.0,
@@ -155,9 +149,6 @@ def test_mixture_two_class_identity_pointwise():
     mu1 = rng.uniform(0, 10, 6)
     mu2 = rng.uniform(0, 10, 4)
     spec = MixtureSpec(
-        k=2,
-        d1=6,
-        d2=4,
         centers1=np.vstack([mu1, -mu1]),
         centers2=np.vstack([mu2, -mu2]),
         alpha=0.0,

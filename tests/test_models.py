@@ -31,9 +31,6 @@ from sslci.models import DiscreteJoint, _gaussian_ci_head, make_rng
 
 def test_gaussian_population_zero_loading():
     spec = GaussianCISpec(
-        d1=2,
-        d2=3,
-        k=2,
         m1=np.zeros((2, 2)),
         m2=np.ones((3, 2)),
         noise1=1.0,
@@ -47,9 +44,6 @@ def test_gaussian_population_zero_loading():
 
 def test_gaussian_population_scalar_hand_case():
     spec = GaussianCISpec(
-        d1=1,
-        d2=1,
-        k=1,
         m1=np.array([[1.0]]),
         m2=np.array([[1.0]]),
         noise1=1.0,
@@ -157,7 +151,7 @@ def test_mixture_conditional_cross_cov_small_at_alpha_zero():
 def test_mixture_posterior_symmetry_and_concentration():
     centers1 = np.array([[0.0, 0.0], [4.0, 0.0]])
     centers2 = np.array([[1.0], [2.0]])
-    spec = MixtureSpec(k=2, d1=2, d2=1, centers1=centers1, centers2=centers2, alpha=0.0)
+    spec = MixtureSpec(centers1=centers1, centers2=centers2, alpha=0.0)
     midpoint = np.array([2.0, 0.0])
     assert np.allclose(mixture_posterior(spec, midpoint), [0.5, 0.5], atol=1e-12)
     at_center = mixture_posterior(spec, np.array([0.0, 0.0]))
@@ -197,9 +191,6 @@ def _tensor_form_posterior(centers: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _overlapping_mixture(k: int, d1: int, rng) -> MixtureSpec:
     return MixtureSpec(
-        k=k,
-        d1=d1,
-        d2=1,
         centers1=0.5 * rng.standard_normal((k, d1)),
         centers2=np.zeros((k, 1)),
         alpha=0.0,
@@ -292,6 +283,43 @@ def test_spec_rejects_non_finite_array_field(kind, field):
         value.flat[-1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             dataclasses.replace(valid, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [(kind, field) for kind, names in SPEC_ARRAY_FIELDS.items() for field in names],
+)
+def test_spec_rejects_extra_axis_on_array_field(kind, field):
+    valid = _valid_specs()[kind]
+    value = np.asarray(getattr(valid, field))[..., None]
+    with pytest.raises(ValueError, match="has shape"):
+        dataclasses.replace(valid, **{field: value})
+
+
+def test_mixture_spec_rejects_zero_classes():
+    with pytest.raises(ValueError, match="has shape"):
+        MixtureSpec(centers1=np.zeros((0, 3)), centers2=np.zeros((0, 2)), alpha=0.0)
+
+
+def test_covariance_blocks_reject_a_0d_block():
+    blocks = _valid_specs()["CovarianceBlocks"]
+    with pytest.raises(ValueError, match="has shape"):
+        dataclasses.replace(blocks, sigma_x1x1=np.array(1.0))
+
+
+def test_spec_dimensions_are_read_from_the_arrays():
+    specs = _valid_specs()
+    for kind in ("CovarianceBlocks", "MixtureSpec", "GaussianCISpec"):
+        assert (specs[kind].d1, specs[kind].d2) == (3, 2)
+        assert specs[kind].k == 2
+    topic = specs["TopicModelSpec"]
+    assert (topic.vocab, topic.topics, topic.atoms) == (4, 2, 3)
+    wider = dataclasses.replace(specs["MixtureSpec"], centers2=np.zeros((2, 5)))
+    assert wider.d2 == 5
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(specs["MixtureSpec"], k=3)
+    with pytest.raises(ValueError, match="has shape .* expected k = 2"):
+        dataclasses.replace(specs["MixtureSpec"], centers2=np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------

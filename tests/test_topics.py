@@ -84,6 +84,10 @@ def test_random_spec_is_valid_and_deterministic():
     assert np.array_equal(spec.a, again.a)
     assert np.array_equal(spec.tau_atoms, again.tau_atoms)
     assert np.linalg.matrix_rank(spec.a) == 2
+    for vocab, topics in ((4, 2), (2, 3), (3, 3)):
+        for seed in range(5):
+            a = random_topic_spec(vocab, topics, 3, 4, seed=seed).a
+            assert np.linalg.matrix_rank(a) == min(vocab, topics)
 
 
 # ---------------------------------------------------------------------------
