@@ -7,18 +7,20 @@ Every trial takes the config's fields as keywords, ignoring those it does
 not read, and returns ``({method: mse}, eps_ci)``.  The grid value replaces
 the field named by the grid field without its ``_grid`` suffix (``k_grid``
 sets ``k``), and ``seed`` is the trial's derived seed, not the master seed.
-One loop executes independent seeded trials at every grid point and writes
-``results.csv`` (one row per grid point, trial, and method, in the order of
-the trial's scores) plus ``summary.csv`` (mean and standard error per grid
-point and method).  Trial seeds derive deterministically from (master
-seed, grid index, trial index), so outputs are byte-identical for
-identical (config, seed) and trials could run in any order.
+A trial's rows are a pure function of (config, grid index, trial), with its
+seed derived from (master seed, grid index, trial), so trials could run in
+any order.  ``results.csv`` holds them in (grid index, trial) order, one row
+per method in the order of the trial's scores; ``summary.csv`` holds the
+mean and standard error per grid point and method.  Outputs are
+byte-identical for identical config and BLAS thread count: the thread
+count can move low-order bits.
 """
 
 from __future__ import annotations
 
 import csv
 import time
+import warnings
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -179,11 +181,8 @@ def _ci_report_trial(*, k, d1, d2, alpha, eval_n, seed, **_):
 
 
 #: experiment -> (config field holding the grid, or None for the single
-#: point 0.0; trial function).  A trial takes the config's fields as
-#: keywords, typed as in ``ExperimentConfig`` (``**_`` absorbs those it does
-#: not read), with the grid value in the field named without the ``_grid``
-#: suffix and ``seed`` the derived trial seed, and returns
-#: ``({method: mse}, eps_ci)``.  Keys follow ``config.EXPERIMENTS``.
+#: point 0.0; trial function called as the module docstring says).  Keys
+#: follow ``config.EXPERIMENTS``.
 _EXPERIMENTS = {
     "mse-vs-k": ("k_grid", _mixture_trial),
     "mse-vs-eps": ("alpha_grid", _mixture_trial),
@@ -195,40 +194,45 @@ _EXPERIMENTS = {
 }
 
 
-def _experiment_rows(config: ExperimentConfig) -> list[TrialRow]:
-    """Every trial of the experiment; a singular solve gives one NaN row."""
+def _grid(config: ExperimentConfig) -> tuple:
+    grid_field = _EXPERIMENTS[config.experiment][0]
+    return getattr(config, grid_field) if grid_field else (0.0,)
+
+
+def _trial_rows(config: ExperimentConfig, gi: int, trial: int) -> list[TrialRow]:
+    """Trial ``trial`` at grid index ``gi``; a ``LinAlgError`` gives one NaN row."""
     grid_field, trial_fn = _EXPERIMENTS[config.experiment]
-    params = asdict(config)
-    grid = params[grid_field] if grid_field else (0.0,)
+    value = _grid(config)[gi]
+    seed = derive_seed(config.seed, gi, trial)
+    params = {**asdict(config), "seed": seed}
+    if grid_field:
+        params[grid_field.removesuffix("_grid")] = value
+    try:
+        scores, eps = trial_fn(**params)
+    except np.linalg.LinAlgError as exc:
+        warnings.warn(
+            f"{config.experiment} grid value {value} trial {trial} (seed {seed}): "
+            f"{exc}; recorded as one NaN 'degenerate' row",
+            UserWarning,
+            stacklevel=2,
+        )
+        scores, eps = {"degenerate": float("nan")}, float("nan")
+    return [
+        TrialRow(config.experiment, float(value), trial, m, float(mse), float(eps), seed)
+        for m, mse in scores.items()
+    ]
+
+
+def _experiment_rows(config: ExperimentConfig) -> list[TrialRow]:
+    """Every trial's rows, concatenated in (grid index, trial) order."""
     # glibc raises its mmap and trim thresholds to the size of the largest
     # mmapped block freed so far.  Freeing one 16 MiB block first keeps the
     # trials' multi-megabyte arrays on the heap, where they are reused,
     # instead of being unmapped or trimmed after each trial and faulted in
     # again by the next.  np.empty touches no page, so this costs no memory.
     np.empty(2 << 20)
-    rows: list[TrialRow] = []
-    for gi, value in enumerate(grid):
-        if grid_field:
-            params[grid_field.removesuffix("_grid")] = value
-        for trial in range(config.trials):
-            seed = derive_seed(config.seed, gi, trial)
-            try:
-                scores, eps = trial_fn(**{**params, "seed": seed})
-            except np.linalg.LinAlgError:
-                scores, eps = {"degenerate": float("nan")}, float("nan")
-            for method, mse in scores.items():
-                rows.append(
-                    TrialRow(
-                        experiment=config.experiment,
-                        grid_value=float(value),
-                        trial=trial,
-                        method=method,
-                        mse=float(mse),
-                        eps_ci=float(eps),
-                        seed=seed,
-                    )
-                )
-    return rows
+    points = [(gi, t) for gi in range(len(_grid(config))) for t in range(config.trials)]
+    return [row for gi, t in points for row in _trial_rows(config, gi, t)]
 
 
 def _write_csv(path: Path, header, rows) -> None:

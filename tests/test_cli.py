@@ -28,6 +28,7 @@ from sslci.harness import (
     _gaussian_population,
     _mixture_trial,
     _score_methods,
+    _trial_rows,
     run,
     selfcheck_checks,
     summarize,
@@ -464,6 +465,36 @@ def test_singular_trial_gives_one_degenerate_row(monkeypatch, experiment, solver
     for row in rows:
         assert row.method == "degenerate"
         assert np.isnan(row.mse) and np.isnan(row.eps_ci)
+
+
+def test_singular_trial_warns_with_its_message(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr("sslci.harness.fit_pretext_linear", singular)
+    config = ExperimentConfig(experiment="mse-vs-k", **TINY)
+    with pytest.warns(UserWarning, match="singular matrix") as record:
+        rows = _trial_rows(config, 1, 0)
+    seed = derive_seed(config.seed, 1, 0)
+    assert len(record) == 1
+    message = str(record[0].message)
+    for part in ("mse-vs-k", "grid value 3", "trial 0", f"seed {seed}"):
+        assert part in message
+    [row] = rows
+    assert (row.grid_value, row.trial, row.seed) == (3.0, 0, seed)
+    assert row.method == "degenerate"
+    assert np.isnan(row.mse) and np.isnan(row.eps_ci)
+
+
+@pytest.mark.parametrize("experiment", ["mse-vs-k", "ci-report"])
+def test_trial_rows_do_not_depend_on_trial_order(experiment):
+    config = ExperimentConfig(experiment=experiment, **TINY)
+    grid_field, _ = _EXPERIMENTS[experiment]
+    grid = range(len(TINY[grid_field]))
+    points = [(gi, trial) for gi in grid for trial in range(TINY["trials"])]
+    reversed_rows = {point: _trial_rows(config, *point) for point in reversed(points)}
+    in_order = [row for point in points for row in reversed_rows[point]]
+    assert in_order == _experiment_rows(config)
 
 
 # ---------------------------------------------------------------------------
