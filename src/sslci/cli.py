@@ -130,7 +130,7 @@ def _cmd_selfcheck(args) -> int:
 
 def _cmd_ace(args) -> int:
     joint = read_joint_file(args.joint)
-    svals = np.linalg.svd(build_operator_t(joint).weighted, compute_uv=False)
+    svals = np.linalg.svd(build_operator_t(joint), compute_uv=False)
     print("weighted singular values:", " ".join(f"{s:.6f}" for s in svals[:8]))
     k = min(args.k, min(joint.p.shape[:2]) - 1)
     solution = ace_fit(joint, k=k)

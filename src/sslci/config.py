@@ -61,8 +61,11 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         for name in ("k_grid", "alpha_grid", "n2_grid"):
-            if len(getattr(self, name)) == 0:
+            grid = getattr(self, name)
+            if len(grid) == 0:
                 raise ConfigError(f"{name} must be nonempty")
+            if len(set(grid)) < len(grid):
+                raise ConfigError(f"{name} has a repeated entry")
         for name in ("d1", "d2", "k", "n1", "n2", "eval_n"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -72,8 +75,8 @@ class ExperimentConfig:
             raise ConfigError("k_grid entries must be >= 2")
         if not all(0.0 <= a <= 1.0 for a in (self.alpha, *self.alpha_grid)):
             raise ConfigError("alpha and alpha_grid entries must be in [0, 1]")
-        if not self.ridge >= 0:
-            raise ConfigError("ridge must be nonnegative")
+        if not 0 <= self.ridge < float("inf"):
+            raise ConfigError("ridge must be finite and nonnegative")
         if self.pca is not None and not 1 <= self.pca <= min(self.d1, self.d2):
             raise ConfigError("pca must be in [1, min(d1, d2)]")
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import time
 import warnings
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -158,7 +158,7 @@ def _gaussian_identity_trial(*, d1, d2, k, seed, **_):
 def _ace_demo_trial(*, seed, **_):
     joint = discrete_joint_random((8, 7, 3), seed)
     solution = ace_fit(joint, k=3)
-    svals = np.linalg.svd(build_operator_t(joint).weighted, compute_uv=False)
+    svals = np.linalg.svd(build_operator_t(joint), compute_uv=False)
     gap = float(np.abs(solution.sigmas - svals[1:4]).max())
     return {"sigma-gap": gap}, eps_ci_tilde(joint)
 
@@ -428,21 +428,19 @@ def _check_mixture_identity() -> None:
 
 def _check_operator_suite() -> None:
     joint = discrete_joint_random((6, 5, 2), seed=3, ci_with_y=True)
-    op = build_operator_t(joint)
-    svals = np.linalg.svd(op.weighted, compute_uv=False)
+    t_matrix = build_operator_t(joint)
+    svals = np.linalg.svd(t_matrix, compute_uv=False)
     assert abs(svals[0] - 1.0) < 1e-10
     assert svals[2] < 1e-8  # rank <= |Y| under conditional independence
-    l_kernel = build_operator_l(joint)
-    assert np.abs(op.t - l_kernel).max() < 1e-10
+    assert np.abs(t_matrix - build_operator_l(joint)).max() < 1e-10
     assert eps_ci_tilde(joint) < 1e-10
 
     joint2 = discrete_joint_random((7, 6, 3), seed=4)
-    op2 = build_operator_t(joint2)
-    diff = replace(op2, t=op2.t - build_operator_l(joint2))
-    top = np.linalg.svd(diff.weighted, compute_uv=False)[0]
+    t_matrix2 = build_operator_t(joint2)
+    top = np.linalg.svd(t_matrix2 - build_operator_l(joint2), compute_uv=False)[0]
     assert abs(eps_ci_tilde(joint2) - top) <= 1e-12 * top  # the Gram route
     solution = ace_fit(joint2, k=2)
-    dense = np.linalg.svd(op2.weighted, compute_uv=False)
+    dense = np.linalg.svd(t_matrix2, compute_uv=False)
     assert np.abs(solution.sigmas - dense[1:3]).max() < 1e-8
     for j in (1, 2):  # the ACE route of maximal_correlation
         assert abs(maximal_correlation(joint2, j) - dense[j]) <= 1e-10

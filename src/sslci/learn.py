@@ -114,8 +114,8 @@ def _least_squares(a: Array, b: Array, ridge: float) -> Array:
     the minimum-norm solution on the kept directions, as from
     ``np.linalg.lstsq(a, b, rcond=1e-5)``, not numpy's ``rcond=None``.
     """
-    if not ridge >= 0:
-        raise ValueError("ridge must be nonnegative")
+    if not 0 <= ridge < np.inf:
+        raise ValueError("ridge must be finite and nonnegative")
     n, d = a.shape
     return solve_psd(a.T @ a + n * ridge * np.eye(d), a.T @ b)[0]
 

@@ -286,6 +286,7 @@ class DiscreteJoint:
         return self.p.ndim == 3
 
     def p_x1x2(self) -> Array:
+        """p(x1, x2).  Without a label axis this is ``p`` itself: read-only."""
         if not self.has_y:
             return self.p
         # one vectorized add per label, not one short inner loop per cell

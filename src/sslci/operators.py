@@ -1,23 +1,24 @@
 """Conditional-expectation operators on finite supports.
 
-For a discrete joint over two views, the operator taking g(x2) to
-E[g(X2) | X1 = x1] has matrix kernel t(x1, x2) = p(x1, x2)/(p(x1)p(x2)).
-Its label-factored counterpart replaces p(x1, x2) by
-Σ_y p(x1|y)p(x2|y)p(y) and has rank at most the label cardinality; the two
-coincide exactly under conditional independence.
+For a discrete joint over two views, the operator T taking g(x2) to
+E[g(X2) | X1 = x1] has kernel t(x1, x2) = p(x1, x2)/(p(x1)p(x2)).  Its
+label-factored counterpart L replaces p(x1, x2) by Σ_y p(x1|y)p(x2|y)p(y)
+and has rank at most the label cardinality; the two coincide exactly under
+conditional independence.
 
 The natural geometry weights functions by the view marginals.  The module
-realizes it by symmetrization: D1^{1/2} T D2^{1/2} turns operator SVD in
-L²(p) into ordinary Euclidean SVD.  The alternating solver (Breiman–Friedman
-ACE, run as randomized block Krylov iteration on an oversampled block of
-functions with Rayleigh–Ritz extraction) returns the top nonconstant
-singular function pairs, after explicitly deflating the known constant pair
-whose singular value is one; it stops once every returned pair satisfies
-both singular-pair equations to ``ACE_TOL``.  This is nonlinear canonical
+holds each operator only as its matrix in the orthonormal bases 1ₓ/√p(x)
+(p(x1, x2)/√(p(x1)p(x2)) for T), so operator SVD in L²(p) is ordinary
+Euclidean SVD.  The alternating solver (Breiman–Friedman ACE, run as
+randomized block Krylov iteration on an oversampled block of functions with
+Rayleigh–Ritz extraction) returns the top nonconstant singular function
+pairs, after explicitly deflating the known constant pair whose singular
+value is one; it stops once every returned pair satisfies both
+singular-pair equations to ``ACE_TOL``.  This is nonlinear canonical
 correlation analysis under whitening constraints.  The same engine gives
 ``maximal_correlation``, so the module computes singular pairs of the view
-operator one way; ``eps_ci_tilde`` needs only the top value of a different
-kernel and reads it from a Gram matrix.
+operator one way; ``eps_ci_tilde`` needs only the top value of T − L and
+reads it from a Gram matrix.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learn import _least_squares
-from .linalg import Array, _as_float, _sign_fix_columns, pinv
+from .linalg import Array, _sign_fix_columns, pinv
 from .models import DiscreteJoint, _label_marginal, make_rng
 
 __all__ = [
     "AceSolution",
-    "OperatorT",
     "ace_fit",
     "ace_objective_identity_check",
     "apx_error_bound_eval",
@@ -50,28 +50,6 @@ ACE_OVERSAMPLE = 8
 ACE_DEPTH = 8
 ACE_TOL = 1e-12
 ACE_MAX_ITERS = 10_000
-
-
-@dataclass(frozen=True)
-class OperatorT:
-    """Density-ratio kernel t(x1,x2) = p(x1,x2)/(p(x1)p(x2)) with marginals."""
-
-    t: Array
-    d1: Array
-    d2: Array
-
-    def __post_init__(self):
-        if self.d1.min() <= 0 or self.d2.min() <= 0:
-            raise ValueError("marginals must be strictly positive")
-
-    @property
-    def weighted(self) -> Array:
-        """Symmetrized kernel D1^{1/2} T D2^{1/2} for Euclidean SVD."""
-        return np.sqrt(self.d1)[:, None] * self.t * np.sqrt(self.d2)[None, :]
-
-    def apply(self, g) -> Array:
-        """E[g(X2) | X1 = ·] for g given by its values on the x2 support."""
-        return self.t @ (self.d2[:, None] * np.atleast_2d(_as_float(g).T).T)
 
 
 @dataclass(frozen=True)
@@ -93,43 +71,50 @@ class AceSolution:
     residual: float
 
 
-def build_operator_t(joint: DiscreteJoint) -> OperatorT:
-    """Density-ratio operator of a discrete joint (marginals must be > 0)."""
-    d1, d2 = joint.marginal_x1(), joint.marginal_x2()
-    return OperatorT(t=joint.p_x1x2() / np.outer(d1, d2), d1=d1, d2=d2)
+def build_operator_t(joint: DiscreteJoint) -> Array:
+    """Matrix p(x1, x2)/√(p(x1)p(x2)) of the conditional-expectation operator.
+
+    This is T: g ↦ E[g(X2) | X1 = ·] in the orthonormal bases 1ₓ/√p(x) of
+    L²(p(x2)) and L²(p(x1)), so its singular values are those of T, and its
+    top pair is (√p(x1), √p(x2)) with value one.  The density ratio
+    t(x1, x2) = p(x1, x2)/(p(x1)p(x2)) is the result divided by √p(x1) along
+    rows and by √p(x2) along columns.  Returns a new writable array.
+    """
+    w = joint.p_x1x2() / np.sqrt(joint.marginal_x1())[:, None]
+    w /= np.sqrt(joint.marginal_x2())
+    return w
 
 
 def build_operator_l(joint: DiscreteJoint) -> Array:
-    """Label-factored kernel Σ_y p(x1|y)p(x2|y)p(y)/(p(x1)p(x2)).
+    """Matrix of the label-factored operator L, in the bases of T's matrix.
 
-    Rank is at most the label cardinality; equals the density-ratio kernel
-    exactly when the views are conditionally independent given the label.
+    L replaces p(x1, x2) by Σ_y p(x1, y)p(x2, y)/p(y), so its matrix is the
+    product (p(x1, y)/√p(x1))·diag(1/p(y))·(p(x2, y)/√p(x2))ᵀ of inner
+    dimension |Y|.  Rank is at most the label cardinality; equals the
+    matrix of T exactly when the views are conditionally independent given
+    the label.
     """
     py = _label_marginal(joint)
-    num = joint.marginal_x1y() @ (joint.marginal_x2y() / py).T
-    return num / np.outer(joint.marginal_x1(), joint.marginal_x2())
+    return (joint.marginal_x1y() / (np.sqrt(joint.marginal_x1())[:, None] * py)) @ (
+        joint.marginal_x2y() / np.sqrt(joint.marginal_x2())[:, None]
+    ).T
 
 
 def eps_ci_tilde(joint: DiscreteJoint) -> float:
-    """Operator norm of the difference kernel in the weighted geometry.
+    """Operator norm of T − L in L²(p).
 
-    Top singular value of W = D1^{1/2} (T − L) D2^{1/2}; zero exactly under
-    conditional independence given the label.  L is never formed: its
-    weighted kernel D1^{1/2} L D2^{1/2} factors as
-    (p(x1, y)/√p(x1))·diag(1/p(y))·(p(x2, y)/√p(x2))ᵀ, so W is the
-    symmetrized density-ratio kernel minus one product of inner dimension
-    |Y|.  σ₁ is read as the square root of the top eigenvalue of the
-    smaller Gram matrix (WᵀW or WWᵀ), which costs a symmetric eigensolve of
+    Top singular value of W = ``build_operator_t`` − ``build_operator_l``;
+    zero exactly under conditional independence given the label.  σ₁ is
+    read as the square root of the top eigenvalue of the smaller Gram
+    matrix (WᵀW or WWᵀ), which costs a symmetric eigensolve of
     min(|X1|, |X2|) rows instead of an SVD.  The contract is absolute: the
     result is within 16·ε of the exact value (ε the machine epsilon; σ₁ of
-    the weighted T is 1).  Near CI, W is a cancellation of T and L, so a
-    small value carries relative error up to about ε/σ₁(W).
+    T is 1).  Near CI, W is a cancellation of T and L, so a small value
+    carries relative error up to about ε/σ₁(W).
     """
-    py = _label_marginal(joint)
-    w = build_operator_t(joint).weighted
-    w -= (joint.marginal_x1y() / (np.sqrt(joint.marginal_x1())[:, None] * py)) @ (
-        joint.marginal_x2y() / np.sqrt(joint.marginal_x2())[:, None]
-    ).T
+    _label_marginal(joint)  # reject a joint without labels before building T
+    w = build_operator_t(joint)
+    w -= build_operator_l(joint)
     gram = w.T @ w if w.shape[1] <= w.shape[0] else w @ w.T
     top = np.linalg.eigvalsh(gram)[-1]
     return float(np.sqrt(max(top, 0.0)))
@@ -168,7 +153,7 @@ def _ace(joint: DiscreteJoint, k: int) -> AceSolution:
         raise ValueError("need 1 <= k and k+1 <= min(|X1|, |X2|)")
     u0 = np.sqrt(joint.marginal_x1())
     v0 = np.sqrt(joint.marginal_x2())
-    m_def = build_operator_t(joint).weighted
+    m_def = build_operator_t(joint)
     m_def -= np.outer(u0, v0)
     block = min(dim, k + ACE_OVERSAMPLE)
     depth = max(1, min(ACE_DEPTH, dim // block))
@@ -316,6 +301,8 @@ def apx_error_bound_eval(
     [√p(x1), √p(x1)·ψ] has orthonormal columns, so its normal equations
     are as accurate as an SVD solve.
     """
+    if g_choice not in ("pinv_of_A", "bayes_indicator"):
+        raise ValueError("g_choice must be 'pinv_of_A' or 'bayes_indicator'")
     py = _label_marginal(joint)
     p1, p2, p2y = joint.marginal_x1(), joint.marginal_x2(), joint.marginal_x2y()
     f_star = joint.marginal_x1y() / p1[:, None]  # P(y | x1), columns are targets
@@ -327,11 +314,9 @@ def apx_error_bound_eval(
 
     if g_choice == "pinv_of_A":
         g = pinv(a)  # |X2| × ny
-    elif g_choice == "bayes_indicator":
+    else:
         # argmax_y p(y | x2) = argmax_y p(x2, y): p(x2) > 0 scales the row
         g = np.eye(py.size)[p2y.argmax(axis=1)]
-    else:
-        raise ValueError("g_choice must be 'pinv_of_A' or 'bayes_indicator'")
 
     # (L g_y)(x1) = Σ_y' p(y'|x1) E[g_y(X2) | Y = y'], through L's rank-|Y| factors
     l_g = f_star @ (a @ g)

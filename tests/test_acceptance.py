@@ -154,11 +154,10 @@ def test_acceptance_5_operator_suite():
         joint = discrete_joint_random(
             (n1, n2, ny), seed=int(rng.integers(1 << 30)), ci_with_y=ci
         )
-        op = build_operator_t(joint)
-        u, svals, vt = np.linalg.svd(op.weighted)
+        u, svals, vt = np.linalg.svd(build_operator_t(joint))
         assert abs(svals[0] - 1.0) <= 1e-10
-        assert np.abs(np.abs(u[:, 0]) - np.sqrt(op.d1)).max() <= 1e-8
-        assert np.abs(np.abs(vt[0]) - np.sqrt(op.d2)).max() <= 1e-8
+        assert np.abs(np.abs(u[:, 0]) - np.sqrt(joint.marginal_x1())).max() <= 1e-8
+        assert np.abs(np.abs(vt[0]) - np.sqrt(joint.marginal_x2())).max() <= 1e-8
         if ci:
             # the kernel factors through the label, so rank is at most ny
             assert svals[ny:].max(initial=0.0) <= 1e-8

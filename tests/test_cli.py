@@ -170,11 +170,16 @@ def test_readme_config_block_loads_as_the_defaults(tmp_path):
         "eval_n = 0",
         "n2_grid = 250, 0",
         "k_grid = 1, 2",
+        # a repeated point repeats (grid_value, trial) keys in results.csv
+        "k_grid = 2, 3, 2",
+        "alpha_grid = 0.5, 0.5",
+        "n2_grid = 100, 100",
         "alpha = 1.5",
         "alpha = nan",
         "alpha_grid = 0.0, -0.25",
         "ridge = -1.0",
         "ridge = nan",
+        "ridge = inf",
         "pca = 0",
         "pca = 41",
         "seed = -1",

@@ -137,7 +137,9 @@ def _oracle_apx(solution, p, g_choice):
 def test_finite_support_layer_matches_direct_summation(sizes, seed, ci):
     joint = discrete_joint_random(sizes, seed, ci_with_y=ci)
     p = joint.p
-    assert _close(build_operator_l(joint), _oracle_l(p))
+    _, d1, d2 = _oracle_t(p)
+    l_matrix = np.sqrt(d1)[:, None] * _oracle_l(p) * np.sqrt(d2)  # bases 1ₓ/√p(x)
+    assert _close(build_operator_l(joint), l_matrix)
     assert _close(eps_ci_tilde(joint), _oracle_eps_ci_tilde(p))
     assert _close(eps_ci_universal(joint), _oracle_gap(p))
     assert _close(eps_y_bar(joint), _oracle_gap(p.transpose(0, 2, 1)))
@@ -173,7 +175,7 @@ def test_finite_support_layer_on_dirichlet_joints(n1, n2, ny, concentration, k, 
     p = _dirichlet_joint(n1, n2, ny, concentration, seed)
     assume(p.sum(axis=(1, 2)).min() > 0 and p.sum(axis=(0, 2)).min() > 0)
     joint = DiscreteJoint(p=p)
-    svals = np.linalg.svd(build_operator_t(joint).weighted, compute_uv=False)
+    svals = np.linalg.svd(build_operator_t(joint), compute_uv=False)
     solution = ace_fit(joint, k=k)
     assert np.abs(solution.sigmas - svals[1 : k + 1]).max() <= 1e-8
     ace_objective_identity_check(solution, joint)
@@ -224,16 +226,17 @@ def test_singular_values_and_subspaces_on_dirichlet_joints(
     # at concentration 0.02 a whole row can underflow to zero
     assume(p.sum(axis=(1, 2)).min() > 0 and p.sum(axis=(0, 2)).min() > 0)
     joint = DiscreteJoint(p=p)
-    op = build_operator_t(joint)
-    svals = np.linalg.svd(op.weighted, compute_uv=False)
+    w = build_operator_t(joint)
+    svals = np.linalg.svd(w, compute_uv=False)
     for j in range(1, min(n1, n2)):
         value = maximal_correlation(joint, j)
         assert 0.0 <= value <= 1.0
         assert abs(value - svals[j]) <= 1e-10, j
     solution = ace_fit(joint, k=k)
-    root1, root2 = np.sqrt(op.d1)[:, None], np.sqrt(op.d2)[:, None]
+    root1 = np.sqrt(joint.marginal_x1())[:, None]
+    root2 = np.sqrt(joint.marginal_x2())[:, None]
     psi_w, eta_w = solution.psi * root1, solution.eta * root2
-    m_def = op.weighted - root1 @ root2.T
+    m_def = w - root1 @ root2.T
     residual = max(
         np.linalg.norm(m_def @ eta_w - psi_w * solution.sigmas, axis=0).max(),
         np.linalg.norm(m_def.T @ psi_w - eta_w * solution.sigmas, axis=0).max(),

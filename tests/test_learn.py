@@ -236,6 +236,12 @@ def test_fit_downstream_pca_helps_on_low_rank_noise():
     assert wins >= 0.8 * trials
 
 
+@pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf])
+def test_fit_pretext_rejects_a_ridge_that_is_not_finite_and_nonnegative(ridge):
+    with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
+        fit_pretext_linear(np.ones((4, 2)), np.ones((4, 1)), ridge=ridge)
+
+
 def test_fit_downstream_pca_rank_too_large():
     with pytest.raises(ValueError):
         fit_downstream(np.zeros((10, 3)), np.zeros((10, 1)), pca_rank=4)

@@ -1,6 +1,8 @@
 """Density-ratio operators, the alternating solver, and the error bound."""
 
 import dataclasses
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -48,60 +50,64 @@ def _bsc_joint(q: float) -> DiscreteJoint:
 
 
 def test_operator_t_row_sums():
-    # E[1 | X1] = 1: t @ d2 is the all-ones vector
+    # E[1 | X1] = 1: in the bases 1ₓ/√p(x) the constant is √p, so W @ √p2 = √p1
     for seed in range(5):
         joint = discrete_joint_random((4, 5), seed=seed)
-        op = build_operator_t(joint)
-        assert np.abs(op.t @ op.d2 - 1.0).max() < 1e-12
-        assert np.abs(op.t.T @ op.d1 - 1.0).max() < 1e-12
+        w = build_operator_t(joint)
+        root1, root2 = np.sqrt(joint.marginal_x1()), np.sqrt(joint.marginal_x2())
+        assert np.abs(w @ root2 - root1).max() < 1e-12
+        assert np.abs(w.T @ root1 - root2).max() < 1e-12
 
 
 def test_operator_t_entrywise_oracle():
     joint = discrete_joint_random((3, 4), seed=1)
-    op = build_operator_t(joint)
+    w = build_operator_t(joint)
     p = joint.p
     for s1 in range(3):
         for s2 in range(4):
-            ratio = p[s1, s2] / (p[s1].sum() * p[:, s2].sum())
-            assert op.t[s1, s2] == pytest.approx(ratio, abs=1e-14)
+            ratio = p[s1, s2] / np.sqrt(p[s1].sum() * p[:, s2].sum())
+            assert w[s1, s2] == pytest.approx(ratio, abs=1e-14)
 
 
 def test_operator_t_product_joint_all_ones():
-    op = build_operator_t(_product_joint(4, 6, seed=2))
-    assert np.abs(op.t - 1.0).max() < 1e-12
+    # t = 1, so W = √p1 √p2ᵀ
+    joint = _product_joint(4, 6, seed=2)
+    root1, root2 = np.sqrt(joint.marginal_x1()), np.sqrt(joint.marginal_x2())
+    assert np.abs(build_operator_t(joint) - np.outer(root1, root2)).max() < 1e-12
 
 
 def test_operator_t_permutation_joint_spectrum():
-    # X2 a permutation of X1 (uniform): t = m·P, every singular value one
+    # X2 a permutation of X1 (uniform): t = m·P and W = P, every singular value one
     m = 5
     perm = np.roll(np.eye(m), 2, axis=1)
     joint = DiscreteJoint(p=perm / m)
-    op = build_operator_t(joint)
-    assert np.allclose(op.t, m * perm)
-    svals = np.linalg.svd(op.weighted, compute_uv=False)
+    w = build_operator_t(joint)
+    assert np.allclose(w, perm)
+    svals = np.linalg.svd(w, compute_uv=False)
     assert np.abs(svals - 1.0).max() < 1e-12
 
 
 def test_operator_apply_matches_direct_conditional_mean():
+    # E[g(X2) | X1] = (W @ (√p2·g)) / √p1
     joint = discrete_joint_random((4, 5), seed=3)
-    op = build_operator_t(joint)
+    w = build_operator_t(joint)
     rng = make_rng(4)
     g = rng.standard_normal(5)
     p12 = joint.p_x1x2()
     oracle = (p12 * g[None, :]).sum(axis=1) / p12.sum(axis=1)
-    assert np.abs(op.apply(g).ravel() - oracle).max() < 1e-12
+    root1, root2 = np.sqrt(joint.marginal_x1()), np.sqrt(joint.marginal_x2())
+    assert np.abs(w @ (root2 * g) / root1 - oracle).max() < 1e-12
 
 
 def test_weighted_top_singular_pair_is_constant():
     for seed in range(5):
         joint = discrete_joint_random((5, 6), seed=seed)
-        op = build_operator_t(joint)
-        u, s, vt = np.linalg.svd(op.weighted)
+        u, s, vt = np.linalg.svd(build_operator_t(joint))
         assert s[0] == pytest.approx(1.0, abs=1e-12)
         assert s[1] < 1.0 - 1e-8
         # the top pair spans the square-root marginals
-        assert np.abs(np.abs(u[:, 0]) - np.sqrt(op.d1)).max() < 1e-10
-        assert np.abs(np.abs(vt[0]) - np.sqrt(op.d2)).max() < 1e-10
+        assert np.abs(np.abs(u[:, 0]) - np.sqrt(joint.marginal_x1())).max() < 1e-10
+        assert np.abs(np.abs(vt[0]) - np.sqrt(joint.marginal_x2())).max() < 1e-10
 
 
 def test_operator_l_rank_and_ci_equality():
@@ -109,8 +115,7 @@ def test_operator_l_rank_and_ci_equality():
     l_kernel = build_operator_l(joint)
     assert np.linalg.matrix_rank(l_kernel, tol=1e-10) <= 2
     ci = discrete_joint_random((6, 7, 2), seed=6, ci_with_y=True)
-    op = build_operator_t(ci)
-    assert np.abs(build_operator_l(ci) - op.t).max() < 1e-10
+    assert np.abs(build_operator_l(ci) - build_operator_t(ci)).max() < 1e-10
 
 
 def test_operator_l_entrywise_oracle():
@@ -127,7 +132,7 @@ def test_operator_l_entrywise_oracle():
                 for s in range(2)
             )
             assert l_kernel[s1, s2] == pytest.approx(
-                num / (p1[s1] * p2[s2]), abs=1e-12
+                num / np.sqrt(p1[s1] * p2[s2]), abs=1e-12
             )
 
 
@@ -166,8 +171,7 @@ def test_eps_ci_tilde_positive_generic_and_monotone():
 def test_eps_ci_tilde_matches_the_dense_top_singular_value(sizes):
     # both orientations of the Gram matrix: WᵀW and WWᵀ
     joint = discrete_joint_random(sizes, seed=sum(sizes))
-    op = build_operator_t(joint)
-    w = np.sqrt(op.d1)[:, None] * (op.t - build_operator_l(joint)) * np.sqrt(op.d2)
+    w = build_operator_t(joint) - build_operator_l(joint)
     dense = np.linalg.svd(w, compute_uv=False)[0]
     assert eps_ci_tilde(joint) == pytest.approx(dense, rel=1e-13)
 
@@ -184,8 +188,7 @@ def test_eps_ci_tilde_stays_at_rounding_level_on_a_larger_ci_joint():
 def test_ace_fit_matches_dense_svd():
     for seed in range(10):
         joint = discrete_joint_random((6, 7), seed=seed)
-        op = build_operator_t(joint)
-        svals = np.linalg.svd(op.weighted, compute_uv=False)
+        svals = np.linalg.svd(build_operator_t(joint), compute_uv=False)
         sol = ace_fit(joint, k=3)
         assert sol.converged
         assert np.abs(sol.sigmas - svals[1:4]).max() < 1e-8
@@ -205,12 +208,13 @@ def test_ace_fit_spans_the_dense_singular_subspaces(sizes, seeds):
     k = 3
     for seed in seeds:
         joint = discrete_joint_random(sizes, seed=seed)
-        op = build_operator_t(joint)
-        u, s, vt = np.linalg.svd(op.weighted, full_matrices=False)
+        w = build_operator_t(joint)
+        u, s, vt = np.linalg.svd(w, full_matrices=False)
         sol = ace_fit(joint, k=k)
-        root1, root2 = np.sqrt(op.d1)[:, None], np.sqrt(op.d2)[:, None]
+        root1 = np.sqrt(joint.marginal_x1())[:, None]
+        root2 = np.sqrt(joint.marginal_x2())[:, None]
         psi_w, eta_w = sol.psi * root1, sol.eta * root2
-        m_def = op.weighted - root1 @ root2.T
+        m_def = w - root1 @ root2.T
         residual = max(
             np.linalg.norm(m_def @ eta_w - psi_w * sol.sigmas, axis=0).max(),
             np.linalg.norm(m_def.T @ psi_w - eta_w * sol.sigmas, axis=0).max(),
@@ -225,15 +229,15 @@ def test_ace_fit_spans_the_dense_singular_subspaces(sizes, seeds):
 
 def test_ace_fit_orthonormal_in_weighted_geometry():
     joint = discrete_joint_random((5, 5), seed=10)
-    op = build_operator_t(joint)
+    d1, d2 = joint.marginal_x1(), joint.marginal_x2()
     sol = ace_fit(joint, k=2)
-    gram_psi = sol.psi.T @ (sol.psi * op.d1[:, None])
-    gram_eta = sol.eta.T @ (sol.eta * op.d2[:, None])
+    gram_psi = sol.psi.T @ (sol.psi * d1[:, None])
+    gram_eta = sol.eta.T @ (sol.eta * d2[:, None])
     assert np.abs(gram_psi - np.eye(2)).max() < 1e-8
     assert np.abs(gram_eta - np.eye(2)).max() < 1e-8
     # nonconstant: orthogonal to the constant function under each marginal
-    assert np.abs(op.d1 @ sol.psi).max() < 1e-8
-    assert np.abs(op.d2 @ sol.eta).max() < 1e-8
+    assert np.abs(d1 @ sol.psi).max() < 1e-8
+    assert np.abs(d2 @ sol.eta).max() < 1e-8
 
 
 def test_ace_fit_product_joint_zero_sigma():
@@ -309,6 +313,12 @@ def test_maximal_correlation_k_out_of_range():
         maximal_correlation(joint, k=3)
 
 
+def _bound_call(g_choice: str):
+    # the solution is fitted here, at collection, before the operator is patched
+    joint = discrete_joint_random((4, 3, 2), seed=1)
+    return partial(apx_error_bound_eval, ace_fit(joint, k=2), joint, g_choice)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -316,12 +326,14 @@ def test_maximal_correlation_k_out_of_range():
         lambda: maximal_correlation(discrete_joint_random((4, 3, 2), seed=1), k=3),
         lambda: eps_ci_tilde(discrete_joint_random((4, 3), seed=1)),
         lambda: eps_ci_tilde(_joint_with_an_empty_label_class()),
+        _bound_call("nonsense"),
     ],
     ids=[
         "ace_fit-k",
         "maximal_correlation-k",
         "eps_ci_tilde-no-label",
         "eps_ci_tilde-empty-label-class",
+        "apx_error_bound_eval-g_choice",
     ],
 )
 def test_invalid_calls_raise_before_building_the_operator(call, monkeypatch):
@@ -331,6 +343,23 @@ def test_invalid_calls_raise_before_building_the_operator(call, monkeypatch):
     monkeypatch.setattr("sslci.operators.build_operator_t", fail)
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [eps_ci_tilde, lambda joint: ace_fit(joint, k=3)],
+    ids=["eps_ci_tilde", "ace_fit"],
+)
+def test_kernel_calls_hold_at_most_two_and_a_half_kernel_sized_arrays(call):
+    # the matrix of T and one product or Gram matrix beside it, not a copy of t
+    joint = discrete_joint_random((400, 400, 3), seed=1)
+    tracemalloc.start()
+    try:
+        call(joint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 400 * 400 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +423,9 @@ def _bound_through_the_dense_l(solution, joint, g_choice):
     else:
         g = np.eye(py.size)[p2y.argmax(axis=1)]
     weighted_g = p2[:, None] * g
-    l_g = build_operator_l(joint) @ weighted_g
+    # L's kernel is its matrix divided by √p(x1) along rows and √p(x2) along columns
+    root1, root2 = np.sqrt(p1)[:, None], np.sqrt(p2)[:, None]
+    l_g = build_operator_l(joint) @ (root2 * g) / root1
     t_k_g = p2 @ g + solution.psi @ (solution.sigmas[:, None] * (solution.eta.T @ weighted_g))
     return 2.0 * (p1 @ ((t_k_g - l_g) ** 2 + (l_g - f_star) ** 2)).sum()
 
