@@ -11,18 +11,20 @@ A trial's rows are a pure function of (config, grid index, trial), with its
 seed derived from (master seed, grid index, trial), so trials could run in
 any order.  ``results.csv`` holds them in (grid index, trial) order, one row
 per method in the order of the trial's scores; ``summary.csv`` holds the
-mean and standard error per grid point and method.  Outputs are
-byte-identical for identical config and BLAS thread count: the thread
-count can move low-order bits.
+mean and standard error per grid point and method.  Trials pin numpy's
+OpenBLAS to one thread, so outputs are byte-identical for identical config at
+any thread count; another BLAS is not pinned (with a warning).
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import threading
 import time
 import warnings
 from dataclasses import asdict, astuple, dataclass, fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +41,12 @@ from .learn import (
     optimal_downstream_map,
 )
 from .models import (
-    _gaussian_ci_head,
+    _gaussian_ci_draw,
     derive_seed,
     discrete_joint_random,
     gaussian_ci_population,
     gaussian_ci_sample,
+    make_rng,
     mixture_posterior,
     mixture_sample,
     random_gaussian_ci_spec,
@@ -86,19 +89,47 @@ class RunResult:
     summary_path: Path
 
 
-def _score_methods(
-    pre, down_x1, down_y, ev_x1, star, target, ridge, pca
-) -> dict[str, float]:
-    """MSE vs ``target`` on ``ev_x1`` of heads fit on (``down_x1``, ``down_y``).
-
-    The features are ψ̂ (the pretext fit on ``pre``), ψ* and raw x1.
-    """
+def _fit_heads(pre, down_x1, down_y, star, ridge, pca) -> dict:
+    """{method: (features, head)} for ψ̂ (fit on ``pre``), ψ* and raw x1 features."""
     rep = fit_pretext_linear(pre.x1, pre.x2, ridge)
-    scores = {}
-    for method, features in (("psi", rep), ("psi-star", star), ("raw-x1", lambda x: x)):
-        fit = fit_downstream(features(down_x1), down_y, ridge, pca)
-        scores[method] = mean_squared_error(fit, features, target, ev_x1)
-    return scores
+    return {
+        method: (features, fit_downstream(features(down_x1), down_y, ridge, pca))
+        for method, features in (("psi", rep), ("psi-star", star), ("raw-x1", lambda x: x))
+    }
+
+
+def _eval_heads(heads, target, ev_x1) -> dict[str, float]:
+    """MSE vs ``target`` on ``ev_x1`` of each ``_fit_heads`` head."""
+    return {m: mean_squared_error(fit, f, target, ev_x1) for m, (f, fit) in heads.items()}
+
+
+def _score_methods(pre, down_x1, down_y, ev_x1, star, target, ridge, pca) -> dict:
+    """MSE vs ``target`` on ``ev_x1`` of heads fit on (``down_x1``, ``down_y``)."""
+    return _eval_heads(_fit_heads(pre, down_x1, down_y, star, ridge, pca), target, ev_x1)
+
+
+class _Helper(threading.Thread):
+    """Starts ``fn(*args)``; ``result()`` joins, then returns or re-raises here.
+
+    ``fn`` calls no public function: perfbench's tracer wraps those and keeps
+    one span stack for all threads.
+    """
+
+    def __init__(self, fn, *args):
+        super().__init__(target=self._keep, args=(fn, *args))
+        self.start()
+
+    def _keep(self, fn, *args):
+        try:
+            self.value, self.exc = fn(*args), None
+        except BaseException as exc:  # re-raised by result()
+            self.exc = exc
+
+    def result(self):
+        self.join()
+        if self.exc is not None:
+            raise self.exc
+        return self.value
 
 
 def _mixture_trial(*, d1, d2, k, alpha, n1, n2, eval_n, ridge, pca, seed, **_):
@@ -130,21 +161,28 @@ def _gaussian_population(d1: int, d2: int, k: int, seed: int):
 def _gaussian_n2_trial(*, d1, d2, k, n1, n2, eval_n, ridge, pca, seed, **_):
     """One exact-CI trial at downstream sample size n2.
 
-    The linear-Gaussian model satisfies conditional independence exactly
-    and its label carries additive noise, so with the population
-    representation the downstream mean squared error is pure estimation
-    noise and scales as 1/n2.  Only the pretext sample's x2 is read, so the
-    downstream and evaluation samples stop before their x2 draw.
+    The linear-Gaussian model satisfies conditional independence exactly and
+    its label noise is Gaussian and independent of x1.  On ψ* (rank k) the
+    head is then k-feature OLS, whose MSE is pure estimation noise with mean
+    tr(Σ_{Y|X1})·k/(n2 − k − 1), where Σ_{Y|X1} = Σ_YY − Σ_YX1·Σ_X1X1⁻¹·Σ_X1Y.
+    The downstream and evaluation samples stop before their x2 draw, which
+    nothing reads.  Each is drawn on a helper thread while this thread draws
+    the pretext sample and fits ψ̂ and the heads.
     """
     spec, blocks, f_map, eps = _gaussian_population(d1, d2, k, derive_seed(seed, 11))
-    pre = gaussian_ci_sample(spec, n1, derive_seed(seed, 1))
-    down_y, down_x1, _ = _gaussian_ci_head(spec, n2, derive_seed(seed, 2))
-    _, ev_x1, _ = _gaussian_ci_head(spec, eval_n, derive_seed(seed, 3))
-    star = closed_form_psi_gaussian(blocks)
-    scores = _score_methods(
-        pre, down_x1, down_y, ev_x1, star, lambda x: x @ f_map.T, ridge, pca
-    )
-    return scores, eps
+    down, ev = helpers = [
+        _Helper(_gaussian_ci_draw, spec, n, make_rng(derive_seed(seed, sub)))
+        for sub, n in ((2, n2), (3, eval_n))
+    ]
+    try:
+        pre = gaussian_ci_sample(spec, n1, derive_seed(seed, 1))
+        star = closed_form_psi_gaussian(blocks)
+        down_y, down_x1 = down.result()
+        heads = _fit_heads(pre, down_x1, down_y, star, ridge, pca)
+        return _eval_heads(heads, lambda x: x @ f_map.T, ev.result()[1]), eps
+    finally:
+        for helper in helpers:
+            helper.join()
 
 
 def _gaussian_identity_trial(*, d1, d2, k, seed, **_):
@@ -223,8 +261,21 @@ def _trial_rows(config: ExperimentConfig, gi: int, trial: int) -> list[TrialRow]
     ]
 
 
+@cache
+def _openblas():
+    """numpy's OpenBLAS (get, set) thread-count calls; else no-ops, get reading None."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # dlsym searches its BLAS too
+    for name in ("scipy_openblas{}64_", "scipy_openblas{}", "openblas{}64_", "openblas{}"):
+        if hasattr(lib, name.format("_set_num_threads")):
+            get, put = (getattr(lib, name.format(f"_{op}_num_threads")) for op in ("get", "set"))
+            get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+            return get, put
+    warnings.warn("no OpenBLAS thread-count call: output bits can depend on BLAS threads")
+    return (lambda: None), (lambda threads: None)
+
+
 def _experiment_rows(config: ExperimentConfig) -> list[TrialRow]:
-    """Every trial's rows, concatenated in (grid index, trial) order."""
+    """Every trial's rows in (grid index, trial) order, on one OpenBLAS thread."""
     # glibc raises its mmap and trim thresholds to the size of the largest
     # mmapped block freed so far.  Freeing one 16 MiB block first keeps the
     # trials' multi-megabyte arrays on the heap, where they are reused,
@@ -232,7 +283,13 @@ def _experiment_rows(config: ExperimentConfig) -> list[TrialRow]:
     # again by the next.  np.empty touches no page, so this costs no memory.
     np.empty(2 << 20)
     points = [(gi, t) for gi in range(len(_grid(config))) for t in range(config.trials)]
-    return [row for gi, t in points for row in _trial_rows(config, gi, t)]
+    get, put = _openblas()
+    threads = get()
+    put(1)
+    try:
+        return [row for gi, t in points for row in _trial_rows(config, gi, t)]
+    finally:
+        put(threads)
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -409,7 +466,7 @@ def _check_gaussian_identity() -> None:
 
 def _check_mixture_identity() -> None:
     from .learn import mixture_two_class_target
-    from .models import MixtureSpec, make_rng
+    from .models import MixtureSpec
 
     rng = make_rng(99)
     mu1 = rng.uniform(0, 10, 4)

@@ -116,6 +116,16 @@ def _psd_sqrt(m: Array) -> Array:
     return (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.T
 
 
+def _gaussian_ci_draw(spec: GaussianCISpec, n: int, rng) -> tuple[Array, Array]:
+    """``gaussian_ci_sample``'s y and x1 drawn from ``rng``; calls no public function."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    root = _psd_sqrt(spec.sigma_y)
+    y = rng.standard_normal((n, spec.k)) @ root.T
+    x1 = y @ spec.m1.T + spec.noise1 * rng.standard_normal((n, spec.d1))
+    return y, x1
+
+
 def _gaussian_ci_head(
     spec: GaussianCISpec, n: int, seed: int
 ) -> tuple[Array, Array, np.random.Generator]:
@@ -123,13 +133,8 @@ def _gaussian_ci_head(
 
     x2 is the generator's last draw, so a caller that reads no x2 stops here.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     rng = make_rng(seed)
-    root = _psd_sqrt(spec.sigma_y)
-    y = rng.standard_normal((n, spec.k)) @ root.T
-    x1 = y @ spec.m1.T + spec.noise1 * rng.standard_normal((n, spec.d1))
-    return y, x1, rng
+    return (*_gaussian_ci_draw(spec, n, rng), rng)
 
 
 def gaussian_ci_sample(spec: GaussianCISpec, n: int, seed: int) -> LabeledDataset:

@@ -4,8 +4,9 @@ Each test pins one headline claim of the library: the closed-form identity
 under exact conditional independence, the mixture identity, the figure
 reproductions at full experiment scale, the 1/n2 scaling law, the operator
 suite, the approximation-error bound, the topic-model verification, the
-Bayes-gap bound, and the agreement of the precision- and covariance-route
-conditional maps.  Every test also enforces a wall-time budget.
+Bayes-gap bound, the agreement of the precision- and covariance-route
+conditional maps, and the exact OLS constant of the 1/n2 law.  Every test
+also enforces a wall-time budget.
 """
 
 import time
@@ -262,4 +263,30 @@ def test_acceptance_9_precision_vs_covariance_routes():
         assert np.abs(map_21 - oracle_21).max() <= 1e-8
         assert np.abs(map_y_x - oracle_y_x).max() <= 1e-8
         assert np.abs(map_y_x1 - oracle_y_x1).max() <= 1e-8
+    budget.check()
+
+
+def test_acceptance_10_n2_law_has_the_exact_ols_constant():
+    # ψ* has rank k and the label noise is Gaussian and independent of x1, so
+    # the ψ* head is k-feature OLS with risk tr(Σ_{Y|X1})·k/(n2 − k − 1).  ψ̂
+    # has rank min(d1, d2), so the same formula with that many features bounds
+    # its risk from below.
+    budget = _Budget(300.0)
+    config = ExperimentConfig(experiment="mse-vs-n2", seed=0)
+    rows = _experiment_rows(config)
+    summary = {(g, m): (mean, se) for _, g, m, mean, se in summarize(rows)}
+    features = {"psi-star": config.k, "psi": min(config.d1, config.d2)}
+    for gi, n2 in enumerate(config.n2_grid):
+        traces = []
+        for trial in range(config.trials):
+            spec_seed = derive_seed(derive_seed(config.seed, gi, trial), 11)
+            spec = random_gaussian_ci_spec(config.d1, config.d2, config.k, spec_seed)
+            b = gaussian_ci_population(spec)
+            explained = b.sigma_x1y.T @ np.linalg.solve(b.sigma_x1x1, b.sigma_x1y)
+            traces.append(np.trace(b.sigma_yy - explained))
+        predicted = {m: np.mean(traces) * p / (n2 - p - 1) for m, p in features.items()}
+        mean, se = summary[(float(n2), "psi-star")]
+        assert abs(mean - predicted["psi-star"]) <= 3 * se, f"n2={n2}"
+        mean, se = summary[(float(n2), "psi")]
+        assert mean >= predicted["psi"] - 3 * se, f"n2={n2}"
     budget.check()

@@ -4,6 +4,8 @@ import csv
 import os
 import subprocess
 import sys
+import threading
+import time
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
@@ -27,6 +29,7 @@ from sslci.harness import (
     _gaussian_n2_trial,
     _gaussian_population,
     _mixture_trial,
+    _openblas,
     _score_methods,
     _trial_rows,
     run,
@@ -502,6 +505,77 @@ def test_trial_rows_do_not_depend_on_trial_order(experiment):
     assert in_order == _experiment_rows(config)
 
 
+def _failing_draw(exc_type):
+    """``_gaussian_ci_draw`` that raises ``exc_type`` on the evaluation sample."""
+    draw = sslci.harness._gaussian_ci_draw
+
+    def fails_on_eval(spec, n, rng):
+        if n == TINY["eval_n"]:
+            raise exc_type("singular matrix")
+        return draw(spec, n, rng)
+
+    return fails_on_eval
+
+
+def _slow_draw(spec, n, rng):
+    """``_gaussian_ci_draw`` that is still running when the main thread fails."""
+    time.sleep(0.2)
+    return sslci.models._gaussian_ci_draw(spec, n, rng)
+
+
+def _singular(*args, **kwargs):
+    raise np.linalg.LinAlgError("singular matrix")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Run the test with OpenBLAS at two threads, a count the harness must restore."""
+    get, put = _openblas()
+    threads = get()
+    if threads is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count call")
+    put(2)
+    yield get
+    put(threads)
+
+
+@pytest.mark.parametrize(
+    "patches",
+    [
+        {"_gaussian_ci_draw": _failing_draw(np.linalg.LinAlgError)},
+        {"_gaussian_ci_draw": _slow_draw, "fit_pretext_linear": _singular},
+    ],
+    ids=["helper-raises", "main-raises"],
+)
+def test_gaussian_trial_failure_joins_helpers_and_gives_one_row(
+    monkeypatch, two_blas_threads, patches
+):
+    for name, fn in patches.items():
+        monkeypatch.setattr(f"sslci.harness.{name}", fn)
+    config = ExperimentConfig(
+        experiment="mse-vs-n2", **{**TINY, "trials": 1, "n2_grid": (40,)}
+    )
+    threads = threading.active_count()
+    with pytest.warns(UserWarning, match="singular matrix"):
+        [row] = _experiment_rows(config)
+    assert (row.grid_value, row.trial, row.method) == (40.0, 0, "degenerate")
+    assert np.isnan(row.mse) and np.isnan(row.eps_ci)
+    assert threading.active_count() == threads
+    assert two_blas_threads() == 2
+
+
+def test_blas_thread_count_is_restored_when_a_trial_raises(
+    monkeypatch, two_blas_threads
+):
+    monkeypatch.setattr("sslci.harness._gaussian_ci_draw", _failing_draw(ValueError))
+    config = ExperimentConfig(experiment="mse-vs-n2", **TINY)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="singular matrix"):
+        _experiment_rows(config)
+    assert threading.active_count() == threads
+    assert two_blas_threads() == 2
+
+
 # ---------------------------------------------------------------------------
 # joint / topic file readers
 
@@ -632,6 +706,28 @@ def test_python_m_sslci_selfcheck():
     )
     assert done.returncode == 0, done.stderr
     assert "all checks passed" in done.stdout
+
+
+def test_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    if _openblas()[0]() is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count call to pin")
+    cfg = _write(tmp_path, "cfg.txt", "experiment = mse-vs-k\n")
+    src = str(Path(sslci.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads-{threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "sslci", "run", cfg, "--trials", "3", "--out", out],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append([(out / f).read_bytes() for f in ("results.csv", "summary.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_ace(tmp_path, capsys):
