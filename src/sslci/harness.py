@@ -133,15 +133,23 @@ class _Helper(threading.Thread):
 
 
 def _mixture_trial(*, d1, d2, k, alpha, n1, n2, eval_n, ridge, pca, seed, **_):
-    """One mixture trial; returns per-method MSE and an eps_ci estimate."""
+    """One mixture trial; returns per-method MSE and an eps_ci estimate.  Helpers
+    draw the pretext and evaluation x2 (drawn on first read) while this thread
+    samples, fits and scores; the downstream x2 is never read, so never drawn."""
     spec = random_mixture_spec(k, d1, d2, alpha, derive_seed(seed, 11))
     pre = mixture_sample(spec, n1, derive_seed(seed, 1))
-    down = mixture_sample(spec, n2, derive_seed(seed, 2))
-    ev = mixture_sample(spec, eval_n, derive_seed(seed, 3))
-    star = partial(closed_form_psi_mixture, spec)
-    target = partial(mixture_posterior, spec)
-    scores = _score_methods(pre, down.x1, down.y, ev.x1, star, target, ridge, pca)
-    return scores, eps_ci_linear_from_data(ev.x1, ev.x2, ev.y)
+    helpers = [_Helper(getattr, pre, "x2")]
+    try:
+        ev = mixture_sample(spec, eval_n, derive_seed(seed, 3))
+        helpers.append(_Helper(getattr, ev, "x2"))
+        down = mixture_sample(spec, n2, derive_seed(seed, 2))
+        star = partial(closed_form_psi_mixture, spec)
+        target = partial(mixture_posterior, spec)
+        scores = _score_methods(pre, down.x1, down.y, ev.x1, star, target, ridge, pca)
+        return scores, eps_ci_linear_from_data(ev.x1, ev.x2, ev.y)
+    finally:
+        for helper in helpers:
+            helper.join()
 
 
 def _gaussian_population(d1: int, d2: int, k: int, seed: int):
@@ -212,6 +220,7 @@ def _topic_check_trial(*, seed, **_):
 
 
 def _ci_report_trial(*, k, d1, d2, alpha, eval_n, seed, **_):
+    """eps_ci of one mixture sample; x2 is read here, as a helper would only add a handoff."""
     spec = random_mixture_spec(k, d1, d2, alpha, derive_seed(seed, 11))
     data = mixture_sample(spec, eval_n, derive_seed(seed, 3))
     eps = eps_ci_linear_from_data(data.x1, data.x2, data.y)

@@ -36,6 +36,10 @@ __all__ = [
 
 def _as_float(m) -> Array:
     out = np.asarray(m, dtype=np.float64)
+    # Σx² is non-finite exactly when an entry is or the sum overflows, so one
+    # dot product certifies contiguous input (np.vdot warns on no overflow).
+    if out.flags.forc and np.isfinite(np.vdot(flat := out.ravel(order="K"), flat)):
+        return out
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite entries")
     return out

@@ -17,6 +17,7 @@ same bits and parallel trials never share state.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,20 +52,52 @@ def derive_seed(*keys: int) -> int:
     return int(state >> np.uint64(1))
 
 
+class _Deferred:
+    """``fn()``, run once by whichever thread asks first; a failure re-raises on each ask."""
+
+    def __init__(self, fn):
+        self.fn, self.lock, self.exc = fn, threading.Lock(), None
+
+    def get(self):
+        with self.lock:
+            if self.fn is not None:
+                try:
+                    self.value = self.fn()
+                except BaseException as exc:
+                    self.exc = exc
+                self.fn = None  # frees the generator and the draw's inputs
+            if self.exc is not None:
+                raise self.exc
+            return self.value
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Row-aligned sample blocks: views x1/x2 and labels y."""
+    """Row-aligned sample blocks: views x1/x2 and labels y.  An x2 passed as a
+    private ``_Deferred`` is computed and stored when first read; repr,
+    ``dataclasses.replace``, pickle and deepcopy read it like any caller."""
 
     x1: Array
     x2: Array
     y: Array
 
     def __post_init__(self):
+        if isinstance(self.x2, _Deferred):  # x2 then has x1's rows by construction
+            object.__setattr__(self, "_x2", vars(self).pop("x2"))
         n = self.x1.shape[0]
         for name in ("x2", "y"):
-            block = getattr(self, name)
+            block = vars(self).get(name, self.x1)
             if block.shape[0] != n:
                 raise ValueError(f"{name} has {block.shape[0]} rows, expected {n}")
+
+    def __getattr__(self, name):
+        if name != "x2" or "_x2" not in vars(self):  # no deferred x2 left to read
+            raise AttributeError(name)
+        object.__setattr__(self, "x2", x2 := self._x2.get())
+        return x2
+
+    def __reduce__(self):
+        return LabeledDataset, (self.x1, self.x2, self.y)
 
     @property
     def n(self) -> int:
@@ -197,25 +230,29 @@ def random_mixture_spec(
 
 def _fit_width(x: Array, d: int) -> Array:
     """Zero-pad on the right or truncate to the first d coordinates."""
-    if x.shape[1] == d:
-        return x
-    if x.shape[1] < d:
-        pad = np.zeros((x.shape[0], d - x.shape[1]))
-        return np.concatenate([x, pad], axis=1)
-    return x[:, :d]
+    return np.pad(x, ((0, 0), (0, d - x.shape[1]))) if x.shape[1] < d else x[:, :d]
+
+
+def _mixture_x2(spec: MixtureSpec, labels: Array, x1: Array, rng) -> Array:
+    """(1−α)·(centers2[y] + z) + α·fit(x1), with z drawn last; in place, same op order."""
+    x2, noise = spec.centers2[labels], rng.standard_normal((labels.size, spec.d2))
+    x2 += noise
+    x2 *= 1.0 - spec.alpha
+    x2 += np.multiply(spec.alpha, _fit_width(x1, spec.d2), out=noise)
+    return x2
 
 
 def mixture_sample(spec: MixtureSpec, n: int, seed: int) -> LabeledDataset:
-    """n draws; labels emitted one-hot (so y has k columns)."""
+    """n draws; labels emitted one-hot (so y has k columns).  x2 is drawn, with
+    the same bits, when first read; x1 is read-only, so no write reaches x2."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = make_rng(seed)
     labels = rng.integers(0, spec.k, size=n)
     x1 = spec.centers1[labels] + rng.standard_normal((n, spec.d1))
-    x2_hat = spec.centers2[labels] + rng.standard_normal((n, spec.d2))
-    x2 = (1.0 - spec.alpha) * x2_hat + spec.alpha * _fit_width(x1, spec.d2)
-    y = np.eye(spec.k)[labels]
-    return LabeledDataset(x1=x1, x2=x2, y=y)
+    x1.setflags(write=False)
+    x2 = _Deferred(lambda: _mixture_x2(spec, labels, x1, rng))
+    return LabeledDataset(x1=x1, x2=x2, y=np.eye(spec.k)[labels])
 
 
 def mixture_posterior(spec: MixtureSpec, x1) -> Array:

@@ -564,6 +564,49 @@ def test_gaussian_trial_failure_joins_helpers_and_gives_one_row(
     assert two_blas_threads() == 2
 
 
+def _failing_x2(spec, labels, x1, rng, draw=sslci.models._mixture_x2):
+    """``models._mixture_x2`` that raises on the evaluation sample's x2."""
+    if labels.size == TINY["eval_n"]:
+        raise np.linalg.LinAlgError("singular matrix")
+    return draw(spec, labels, x1, rng)
+
+
+def _slow_x2(spec, labels, x1, rng, draw=sslci.models._mixture_x2):
+    """``models._mixture_x2`` that is still running when the main thread fails."""
+    time.sleep(0.2)
+    return draw(spec, labels, x1, rng)
+
+
+def _singular_downstream_sample(spec, n, seed, sample=sslci.models.mixture_sample):
+    """``mixture_sample`` that fails on the downstream sample, after both helpers start."""
+    if n == TINY["n2"]:
+        _singular()
+    return sample(spec, n, seed)
+
+
+@pytest.mark.parametrize(
+    "patches",
+    [
+        {"models._mixture_x2": _failing_x2},
+        {"models._mixture_x2": _slow_x2, "harness.mixture_sample": _singular_downstream_sample},
+    ],
+    ids=["helper-raises", "main-raises"],
+)
+def test_mixture_trial_failure_joins_helpers_and_gives_one_row(
+    monkeypatch, two_blas_threads, patches
+):
+    for name, fn in patches.items():
+        monkeypatch.setattr(f"sslci.{name}", fn)
+    config = ExperimentConfig(experiment="mse-vs-k", **{**TINY, "trials": 1, "k_grid": (3,)})
+    threads = threading.active_count()
+    with pytest.warns(UserWarning, match="singular matrix"):
+        [row] = _experiment_rows(config)
+    assert (row.grid_value, row.trial, row.method) == (3.0, 0, "degenerate")
+    assert np.isnan(row.mse) and np.isnan(row.eps_ci)
+    assert threading.active_count() == threads
+    assert two_blas_threads() == 2
+
+
 def test_blas_thread_count_is_restored_when_a_trial_raises(
     monkeypatch, two_blas_threads
 ):

@@ -17,8 +17,48 @@ from sslci import (
     pinv,
     random_gaussian_ci_spec,
 )
-from sslci.linalg import solve_psd
+from sslci.linalg import _as_float, solve_psd
 from sslci.models import make_rng
+
+
+# ---------------------------------------------------------------------------
+# _as_float: the finiteness check behind every public function
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.full((3, 4), 1e200),  # finite, though Σx² overflows
+        np.asfortranarray(np.full((3, 4), -1e200)),
+        np.empty((0, 3)),
+        np.float64(2.5),
+        [[1, 2], [3, 4]],
+        np.arange(24.0).reshape(4, 6)[:, ::2],  # strided view
+    ],
+    ids=["overflowing-squares", "fortran", "empty", "0-d", "int-list", "strided"],
+)
+def test_as_float_accepts_finite_input(m):
+    out = _as_float(m)
+    assert out.dtype == np.float64 and np.array_equal(out, np.asarray(m, dtype=float))
+
+
+def test_as_float_does_not_copy_a_float_array():
+    m = np.ones((4, 3))
+    assert _as_float(m) is m and _as_float(m.T).base is m
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("layout", ["c", "fortran", "strided", "0-d", "big"])
+def test_as_float_rejects_a_non_finite_entry_anywhere(bad, layout):
+    shape = {"c": (3, 5), "fortran": (3, 5), "strided": (3, 10), "0-d": (), "big": (400, 50)}
+    base = np.ones(shape[layout], order="F" if layout == "fortran" else "C")
+    for pos in {0, base.size // 2, base.size - 1}:
+        m = base.copy(order="K")
+        m.flat[pos] = bad
+        if layout == "strided":
+            m = m[:, pos % 2 :: 2]  # keeps the column of ``pos``
+        with pytest.raises(ValueError, match="non-finite"):
+            _as_float(m)
 
 
 # ---------------------------------------------------------------------------

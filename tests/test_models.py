@@ -1,6 +1,10 @@
 """Synthetic data models: analytic blocks, sampling, determinism."""
 
+import copy
 import dataclasses
+import pickle
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,7 +26,8 @@ from sslci import (
     random_mixture_spec,
     random_topic_spec,
 )
-from sslci.models import DiscreteJoint, _gaussian_ci_head, make_rng
+import sslci.models
+from sslci.models import DiscreteJoint, LabeledDataset, _gaussian_ci_head, make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +235,134 @@ def test_mixture_posterior_builds_no_difference_tensor():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _eager_mixture_sample(spec, n, seed):
+    """Reference: the whole mixture sample drawn at once, x2 last."""
+    rng = make_rng(seed)
+    labels = rng.integers(0, spec.k, size=n)
+    x1 = spec.centers1[labels] + rng.standard_normal((n, spec.d1))
+    x2_hat = spec.centers2[labels] + rng.standard_normal((n, spec.d2))
+    if spec.d1 < spec.d2:
+        x1_fit = np.concatenate([x1, np.zeros((n, spec.d2 - spec.d1))], axis=1)
+    else:
+        x1_fit = x1[:, : spec.d2]
+    x2 = (1.0 - spec.alpha) * x2_hat + spec.alpha * x1_fit
+    return x1, x2, np.eye(spec.k)[labels]
+
+
+def _read_on_a_helper(data):
+    helper = threading.Thread(target=getattr, args=(data, "x2"))
+    helper.start()
+    helper.join(timeout=30)
+    assert not helper.is_alive() and "x2" in vars(data)  # drawn and stored there
+
+
+def _assert_same_bytes(data, reference):
+    for block, want in zip((data.x1, data.x2, data.y), reference):
+        assert type(block) is np.ndarray and block.dtype == np.float64
+        assert block.shape == want.shape and block.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("reader", ["main", "helper"])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("d1, d2", [(2, 5), (4, 4), (6, 3)])
+def test_mixture_x2_drawn_on_first_read_equals_the_eager_draw(d1, d2, alpha, reader):
+    spec = random_mixture_spec(3, d1, d2, alpha, seed=9)
+    data = mixture_sample(spec, 500, seed=21)
+    assert "x2" not in vars(data)
+    if reader == "helper":
+        _read_on_a_helper(data)
+    _assert_same_bytes(data, _eager_mixture_sample(spec, 500, seed=21))
+
+
+def test_threads_reading_x2_at_once_share_one_draw(monkeypatch):
+    draws = []
+
+    def counted(*args, draw=sslci.models._mixture_x2):
+        draws.append(threading.current_thread())
+        return draw(*args)
+
+    monkeypatch.setattr(sslci.models, "_mixture_x2", counted)
+    spec = random_mixture_spec(4, 30, 20, 0.3, seed=2)
+    reference = _eager_mixture_sample(spec, 20_000, seed=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            data, read = mixture_sample(spec, 20_000, seed=3), []
+            start = threading.Barrier(4)  # more readers than cores
+
+            def reader(data=data, read=read, start=start):
+                start.wait()
+                read.append(data.x2)
+
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert len(read) == 4 and all(block is data.x2 for block in read)
+            _assert_same_bytes(data, reference)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(draws) == 5
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [
+        lambda data: pickle.loads(pickle.dumps(data)),
+        copy.deepcopy,
+        lambda data: dataclasses.replace(data, y=data.y.copy()),
+    ],
+    ids=["pickle", "deepcopy", "replace"],
+)
+def test_unread_mixture_sample_copies_with_its_drawn_x2(clone):
+    spec = random_mixture_spec(3, 5, 4, 0.3, seed=1)
+    data = mixture_sample(spec, 50, seed=8)
+    copied = clone(data)
+    assert type(copied) is LabeledDataset and "_x2" not in vars(copied)
+    reference = _eager_mixture_sample(spec, 50, seed=8)
+    _assert_same_bytes(copied, reference)
+    _assert_same_bytes(data, reference)
+    assert repr(copied) == repr(data)
+
+
+def test_write_into_x1_before_the_x2_read_cannot_change_x2():
+    spec = random_mixture_spec(3, 4, 4, 1.0, seed=1)
+    data = mixture_sample(spec, 50, seed=8)
+    with pytest.raises(ValueError, match="read-only"):
+        data.x1[0, 0] = 1e9
+    _assert_same_bytes(data, _eager_mixture_sample(spec, 50, seed=8))
+
+
+def test_failed_x2_draw_re_raises_on_every_read(monkeypatch):
+    calls = []
+
+    def fails_once(*args, draw=sslci.models._mixture_x2):
+        calls.append(args)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("draw failed")
+        return draw(*args)  # a retry would draw from a generator already advanced
+
+    monkeypatch.setattr(sslci.models, "_mixture_x2", fails_once)
+    data = mixture_sample(random_mixture_spec(2, 3, 3, 0.5, seed=1), 10, seed=2)
+    for read in (lambda: data.x2, lambda: repr(data), lambda: pickle.dumps(data)):
+        with pytest.raises(np.linalg.LinAlgError, match="draw failed"):
+            read()
+    assert len(calls) == 1
+
+
+def test_labeled_dataset_keeps_its_arrays_and_row_check():
+    x1, x2, y = np.zeros((3, 2)), np.ones((3, 1)), np.eye(3)
+    data = LabeledDataset(x1=x1, x2=x2, y=y)
+    assert data.x1 is x1 and data.x2 is x2 and data.y is y and data.n == 3
+    with pytest.raises(AttributeError):
+        data.x3
+    with pytest.raises(ValueError, match="x2 has 2 rows"):
+        LabeledDataset(x1=x1, x2=x2[:2], y=y)
 
 
 def test_mixture_rejects_bad_alpha():
