@@ -6,8 +6,8 @@ Subcommands:
   [--experiment TAG]``: execute a configured experiment, writing
   results.csv / summary.csv (and plot.svg with ``--plot``); each flag
   overrides its config key.
-- ``sslci selfcheck``: run the fast invariant suite; nonzero exit on any
-  failure.
+- ``sslci selfcheck``: run the fast invariant suite, printing each check's
+  wall time; nonzero exit on any failure.
 - ``sslci ace --joint FILE [--k K]``: operator diagnostics for a discrete
   joint given as a text file (header "x1_size x2_size y_size", then
   probabilities in x1-major order); ``--k`` (default 3) is the number of
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -114,13 +115,14 @@ def _cmd_run(args) -> int:
 def _cmd_selfcheck(args) -> int:
     failures = 0
     for name, check in selfcheck_checks():
+        start = time.perf_counter()
         try:
             check()
         except Exception as exc:  # noqa: BLE001 - report and keep going
             failures += 1
             print(f"FAIL {name}: {exc}")
         else:
-            print(f"ok   {name}")
+            print(f"ok   {name} ({(time.perf_counter() - start) * 1e3:.1f} ms)")
     if failures:
         print(f"{failures} check(s) failed")
         return 1

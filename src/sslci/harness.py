@@ -103,11 +103,6 @@ def _eval_heads(heads, target, ev_x1) -> dict[str, float]:
     return {m: mean_squared_error(fit, f, target, ev_x1) for m, (f, fit) in heads.items()}
 
 
-def _score_methods(pre, down_x1, down_y, ev_x1, star, target, ridge, pca) -> dict:
-    """MSE vs ``target`` on ``ev_x1`` of heads fit on (``down_x1``, ``down_y``)."""
-    return _eval_heads(_fit_heads(pre, down_x1, down_y, star, ridge, pca), target, ev_x1)
-
-
 class _Helper(threading.Thread):
     """Starts ``fn(*args)``; ``result()`` joins, then returns or re-raises here.
 
@@ -145,7 +140,7 @@ def _mixture_trial(*, d1, d2, k, alpha, n1, n2, eval_n, ridge, pca, seed, **_):
         down = mixture_sample(spec, n2, derive_seed(seed, 2))
         star = partial(closed_form_psi_mixture, spec)
         target = partial(mixture_posterior, spec)
-        scores = _score_methods(pre, down.x1, down.y, ev.x1, star, target, ridge, pca)
+        scores = _eval_heads(_fit_heads(pre, down.x1, down.y, star, ridge, pca), target, ev.x1)
         return scores, eps_ci_linear_from_data(ev.x1, ev.x2, ev.y)
     finally:
         for helper in helpers:
@@ -524,6 +519,29 @@ def _check_bayes_gap() -> None:
     assert lhs <= rhs + 1e-12
 
 
+def _check_latent_screening() -> None:
+    from .independence import eps_ci_universal, eps_y_bar
+    from .models import DiscreteJoint
+
+    assert eps_ci_universal(discrete_joint_random((5, 4, 3), seed=21, ci_with_y=True)) <= 1e-12
+    assert eps_ci_universal(discrete_joint_random((5, 4, 3), seed=22)) > 1e-4
+    p = np.zeros((3, 4, 2))  # axes (x1, latent, label), label = latent mod 2
+    for s in range(4):
+        p[:, s, s % 2] = make_rng(7, s).uniform(0.1, 1.0, 3)
+    assert eps_y_bar(DiscreteJoint(p=p / p.sum())) <= 1e-12
+    assert eps_y_bar(discrete_joint_random((3, 4, 2), seed=8)) > 1e-4
+
+
+def _check_ci_report() -> None:
+    from .independence import ci_report_from_data
+
+    data = mixture_sample(random_mixture_spec(3, 4, 5, 0.3, seed=5), 2_000, seed=6)
+    report = ci_report_from_data(data.x1, data.x2, data.y)
+    assert report.eps_ci == eps_ci_linear_from_data(data.x1, data.x2, data.y)
+    # centred one-hot ȳ (k = 3): Σ_ȳȳ is singular and rank(Σ_X2ȳ) ≤ k − 1
+    assert report.degenerate and report.rank_sigma_x2ybar <= 2
+
+
 def _check_topic_model() -> None:
     report = verify_latent_construction(random_topic_spec(4, 2, 3, 4, seed=2))
     assert report.passed, "topic-model verification failed"
@@ -548,6 +566,8 @@ def selfcheck_checks() -> list[tuple[str, callable]]:
         ("mixture-two-class-identity", _check_mixture_identity),
         ("operator-suite", _check_operator_suite),
         ("bayes-gap", _check_bayes_gap),
+        ("latent-screening", _check_latent_screening),
+        ("ci-report-fields", _check_ci_report),
         ("topic-model", _check_topic_model),
         ("sampling-determinism", _check_determinism),
     ]

@@ -27,7 +27,6 @@ import numpy as np
 
 from .linalg import (
     Array,
-    CovarianceBlocks,
     _as_float,
     _kept,
     _singular,
@@ -48,7 +47,6 @@ __all__ = [
     "eps_ci_linear_from_data",
     "eps_ci_universal",
     "eps_y_bar",
-    "spectrum_conditional",
 ]
 
 
@@ -184,20 +182,6 @@ def bayes_gap_check(joint: DiscreteJoint) -> tuple[float, float]:
     non_max = np.where(np.arange(ny) == p1y.argmax(axis=1)[:, None], 0.0, p1y)
     rhs = float(2.0 * ny * non_max.sum())
     return lhs, rhs
-
-
-def spectrum_conditional(blocks: CovarianceBlocks) -> tuple[Array, Array]:
-    """Singular values of Σ_{X1X2} and of Σ_{X1X2 | Y}, for comparison.
-
-    Purely descriptive: conditional singular values are not pointwise
-    below the unconditional ones in general, so nothing is asserted.
-    """
-    uncond = np.linalg.svd(blocks.sigma_x1x2, compute_uv=False)
-    cond_mat = partial_cov(
-        blocks.sigma_x1x2, blocks.sigma_x1y, blocks.sigma_yy, blocks.sigma_x2y.T
-    )
-    cond = np.linalg.svd(cond_mat, compute_uv=False)
-    return uncond, cond
 
 
 def ci_report_from_data(x1, x2, ybar_onehot) -> CIReport:

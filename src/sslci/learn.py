@@ -4,11 +4,8 @@ Step one regresses the second view on the first (the pretext task) to learn
 a representation ψ; step two fits a linear head from ψ(x1) to the label.
 Closed-form population representations are provided for the Gaussian and
 mixture models, alongside finite-sample ridge/OLS fits, optional principal
-component truncation of the downstream features, and risk evaluation.
-
-``excess_risk`` carries the conventional 1/2 factor;
-``mean_squared_error`` is the same average without it.  Both are exposed so
-reported numbers are never silently off by a factor of two.
+component truncation of the downstream features, and risk evaluation as
+the mean squared error, with no 1/2 factor.
 """
 
 from __future__ import annotations
@@ -26,10 +23,8 @@ __all__ = [
     "closed_form_f_gaussian",
     "closed_form_psi_gaussian",
     "closed_form_psi_mixture",
-    "excess_risk",
     "fit_downstream",
     "fit_pretext_linear",
-    "log_loss_eval",
     "mean_squared_error",
     "mixture_two_class_target",
     "optimal_downstream_map",
@@ -169,34 +164,10 @@ def fit_downstream(
     return DownstreamFit(w_hat=w)
 
 
-def excess_risk(fit: DownstreamFit, rep, f_star, eval_x1) -> float:
-    """Monte-Carlo ½·E‖f*(x) − Ŵᵀψ(x)‖² over the given evaluation points.
-
-    ``rep`` is any callable mapping an n×d1 batch to representation
-    outputs; ``f_star`` maps the same batch to the optimal predictions.
-    """
-    return 0.5 * mean_squared_error(fit, rep, f_star, eval_x1)
-
-
 def mean_squared_error(fit: DownstreamFit, rep, f_star, eval_x1) -> float:
-    """Same average as :func:`excess_risk` without the 1/2 factor."""
+    """Monte-Carlo E‖f*(x) − Ŵᵀψ(x)‖², no 1/2 factor, over the rows of ``eval_x1``;
+    ``rep`` and ``f_star`` map that n×d1 batch to features and to targets."""
     x = _as_float(eval_x1)
     pred = fit.predict(rep(x)).reshape(x.shape[0], -1)
     target = _as_float(f_star(x)).reshape(x.shape[0], -1)
     return float(((target - pred) ** 2).sum(axis=1).mean())
-
-
-def log_loss_eval(scores, labels) -> float:
-    """Mean softmax cross-entropy of the scores as given.
-
-    ``scores`` is n×k, ``labels`` integer class indices; the loss is the
-    mean over rows of −log softmax(score)[label], with no temperature.
-    """
-    z = _as_float(scores)
-    if z.ndim != 2 or z.shape[1] < 2:
-        raise ValueError("scores must be n×k with k >= 2")
-    idx = np.asarray(labels, dtype=int)
-    row = np.arange(z.shape[0])
-    top = z.max(axis=1)
-    log_norm = top + np.log(np.exp(z - top[:, None]).sum(axis=1))
-    return float(np.mean(log_norm - z[row, idx]))

@@ -23,7 +23,6 @@ __all__ = [
     "Array",
     "DEFAULT_RANK_TOL",
     "CovarianceBlocks",
-    "blocks_from_data",
     "empirical_cov",
     "gaussian_conditionals_from_precision",
     "inv_sqrt",
@@ -167,7 +166,8 @@ def inv_sqrt(m) -> Array:
 
     Eigenvalues at most ``DEFAULT_RANK_TOL`` times the largest count as
     zero.  Satisfies M^{−1/2} · M · M^{−1/2} = projector onto range(M).
-    Raises on asymmetric input (tolerance 1e-10).
+    Accepts M when |m − mᵀ| ≤ 1e-10 + 1e-5·|mᵀ| entrywise (``np.allclose``'s
+    default rtol included), then symmetrizes it; otherwise raises.
     """
     mat = _as_float(m)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -249,18 +249,6 @@ class CovarianceBlocks:
                 [self.sigma_x1y.T, self.sigma_x2y.T, self.sigma_yy],
             ]
         )
-
-
-def blocks_from_data(x1, x2, y) -> CovarianceBlocks:
-    """Empirical centred :class:`CovarianceBlocks` from three sample matrices."""
-    return CovarianceBlocks(
-        sigma_x1x1=empirical_cov(x1, x1),
-        sigma_x1x2=empirical_cov(x1, x2),
-        sigma_x1y=empirical_cov(x1, y),
-        sigma_x2x2=empirical_cov(x2, x2),
-        sigma_x2y=empirical_cov(x2, y),
-        sigma_yy=empirical_cov(y, y),
-    )
 
 
 def gaussian_conditionals_from_precision(

@@ -99,10 +99,6 @@ class LabeledDataset:
     def __reduce__(self):
         return LabeledDataset, (self.x1, self.x2, self.y)
 
-    @property
-    def n(self) -> int:
-        return self.x1.shape[0]
-
 
 @dataclass(frozen=True)
 class GaussianCISpec:
@@ -144,35 +140,22 @@ def gaussian_ci_population(spec: GaussianCISpec) -> CovarianceBlocks:
     )
 
 
-def _psd_sqrt(m: Array) -> Array:
-    evals, vecs = np.linalg.eigh((m + m.T) / 2.0)
-    return (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.T
-
-
 def _gaussian_ci_draw(spec: GaussianCISpec, n: int, rng) -> tuple[Array, Array]:
-    """``gaussian_ci_sample``'s y and x1 drawn from ``rng``; calls no public function."""
+    """``gaussian_ci_sample``'s y and x1, bit for bit; its x2 is ``rng``'s next
+    draw, so a caller that reads no x2 stops here.  Calls no public function."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    root = _psd_sqrt(spec.sigma_y)
+    evals, vecs = np.linalg.eigh((spec.sigma_y + spec.sigma_y.T) / 2.0)
+    root = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.T
     y = rng.standard_normal((n, spec.k)) @ root.T
     x1 = y @ spec.m1.T + spec.noise1 * rng.standard_normal((n, spec.d1))
     return y, x1
 
 
-def _gaussian_ci_head(
-    spec: GaussianCISpec, n: int, seed: int
-) -> tuple[Array, Array, np.random.Generator]:
-    """``gaussian_ci_sample``'s y and x1, bit for bit, and its generator.
-
-    x2 is the generator's last draw, so a caller that reads no x2 stops here.
-    """
-    rng = make_rng(seed)
-    return (*_gaussian_ci_draw(spec, n, rng), rng)
-
-
 def gaussian_ci_sample(spec: GaussianCISpec, n: int, seed: int) -> LabeledDataset:
     """n i.i.d. draws from the linear-Gaussian model, deterministic in seed."""
-    y, x1, rng = _gaussian_ci_head(spec, n, seed)
+    rng = make_rng(seed)
+    y, x1 = _gaussian_ci_draw(spec, n, rng)
     x2 = y @ spec.m2.T + spec.noise2 * rng.standard_normal((n, spec.d2))
     return LabeledDataset(x1=x1, x2=x2, y=y)
 

@@ -25,12 +25,13 @@ from sslci.config import (
 from sslci.harness import (
     _EXPERIMENTS,
     TrialRow,
+    _eval_heads,
     _experiment_rows,
+    _fit_heads,
     _gaussian_n2_trial,
     _gaussian_population,
     _mixture_trial,
     _openblas,
-    _score_methods,
     _trial_rows,
     run,
     selfcheck_checks,
@@ -424,9 +425,8 @@ def test_gaussian_n2_trial_matches_scores_on_three_full_samples(ridge, pca):
         for sub, size in ((1, "n1"), (2, "n2"), (3, "eval_n"))
     )
     star = closed_form_psi_gaussian(blocks)
-    want = _score_methods(
-        pre, down.x1, down.y, ev.x1, star, lambda x: x @ f_map.T, ridge, pca
-    )
+    heads = _fit_heads(pre, down.x1, down.y, star, ridge, pca)
+    want = _eval_heads(heads, lambda x: x @ f_map.T, ev.x1)
     assert list(scores) == list(want) == ["psi", "psi-star", "raw-x1"]
     assert scores == want and eps == want_eps
 

@@ -19,7 +19,6 @@ from sslci import (
     mixture_sample,
     random_gaussian_ci_spec,
     random_mixture_spec,
-    spectrum_conditional,
 )
 from sslci.linalg import inv_sqrt, solve_psd
 from sslci.models import make_rng
@@ -253,16 +252,7 @@ def test_bayes_gap_lhs_loop_oracle():
 
 
 # ---------------------------------------------------------------------------
-# spectrum + report
-
-
-def test_spectrum_conditional_vanishes_under_ci():
-    spec = random_gaussian_ci_spec(4, 3, 2, seed=13)
-    blocks = gaussian_ci_population(spec)
-    uncond, cond = spectrum_conditional(blocks)
-    assert uncond.shape == (3,)
-    assert cond.max() <= 1e-8
-    assert uncond.max() > 1e-3
+# report
 
 
 def test_ci_report_from_data_fields():

@@ -13,11 +13,9 @@ from sslci import (
     closed_form_f_gaussian,
     closed_form_psi_gaussian,
     closed_form_psi_mixture,
-    excess_risk,
     fit_downstream,
     fit_pretext_linear,
     gaussian_ci_population,
-    log_loss_eval,
     mean_squared_error,
     mixture_posterior,
     mixture_sample,
@@ -361,7 +359,7 @@ def test_excess_risk_zero_for_perfect_predictor():
     fit = DownstreamFit(w_hat=np.eye(2))
     rng = make_rng(13)
     x = rng.standard_normal((50, 2))
-    assert excess_risk(fit, rep, lambda v: v, x) == pytest.approx(0.0, abs=1e-12)
+    assert mean_squared_error(fit, rep, lambda v: v, x) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_excess_risk_constant_target():
@@ -369,11 +367,8 @@ def test_excess_risk_constant_target():
     fit = DownstreamFit(w_hat=np.zeros((2, 3)))
     c = np.array([1.0, 2.0, 2.0])
     x = np.zeros((10, 2))
-    value = excess_risk(fit, rep, lambda v: np.tile(c, (len(v), 1)), x)
-    assert value == pytest.approx(0.5 * (c @ c))
-    assert mean_squared_error(fit, rep, lambda v: np.tile(c, (len(v), 1)), x) == (
-        pytest.approx(c @ c)
-    )
+    value = mean_squared_error(fit, rep, lambda v: np.tile(c, (len(v), 1)), x)
+    assert value == pytest.approx(c @ c)
 
 
 def test_excess_risk_population_head_exact_ci():
@@ -385,7 +380,7 @@ def test_excess_risk_population_head_exact_ci():
     fit = DownstreamFit(w_hat=w_star)
     rng = make_rng(15)
     x = rng.standard_normal((500, 4))
-    assert excess_risk(fit, rep, lambda v: v @ f_map.T, x) <= 1e-10
+    assert mean_squared_error(fit, rep, lambda v: v @ f_map.T, x) <= 2e-10
 
 
 def test_risk_with_one_dimensional_labels():
@@ -398,66 +393,5 @@ def test_risk_with_one_dimensional_labels():
     def shifted(v):
         return v @ w + 1.0
 
-    assert excess_risk(fit, rep, shifted, x) == pytest.approx(0.5)
+    assert mean_squared_error(fit, rep, shifted, x) == pytest.approx(1.0)
     assert mean_squared_error(fit, rep, shifted, x[:1]) == pytest.approx(1.0)
-
-
-def test_mse_is_twice_excess_risk():
-    spec = random_mixture_spec(2, 3, 3, alpha=0.0, seed=16)
-    data = mixture_sample(spec, 500, seed=17)
-    rep = fit_pretext_linear(data.x1, data.x2)
-    fit = fit_downstream(rep(data.x1), data.y)
-
-    def target(x):
-        return mixture_posterior(spec, x)
-
-    ev = mixture_sample(spec, 300, seed=18)
-    assert mean_squared_error(fit, rep, target, ev.x1) == pytest.approx(
-        2 * excess_risk(fit, rep, target, ev.x1)
-    )
-
-
-def test_excess_risk_is_half_the_mean_squared_error_bit_for_bit():
-    # halving is exact in binary floating point, so an approximate
-    # comparison would let a wrong factor such as 0.5000001 through
-    rng = make_rng(23)
-    x = rng.standard_normal((200, 4))
-    rep = LinearRepresentation(b=rng.standard_normal((3, 4)))
-    fit = fit_downstream(rep(x), rng.standard_normal((200, 2)))
-    f_map = rng.standard_normal((2, 4))
-
-    def target(v):
-        return v @ f_map.T
-
-    ev = rng.standard_normal((100, 4))
-    mse = mean_squared_error(fit, rep, target, ev)
-    assert mse > 0.0
-    assert excess_risk(fit, rep, target, ev) == 0.5 * mse
-
-
-# ---------------------------------------------------------------------------
-# log loss
-
-
-def test_log_loss_uniform_scores():
-    scores = np.zeros((5, 4))
-    assert log_loss_eval(scores, [0, 1, 2, 3, 0]) == pytest.approx(np.log(4))
-
-
-def test_log_loss_large_margin_vanishes():
-    scores = np.eye(3)
-    labels = [0, 1, 2]
-    assert log_loss_eval(1e4 * scores, labels) < 1e-12
-
-
-def test_log_loss_matches_direct_formula():
-    rng = make_rng(19)
-    scores = rng.standard_normal((20, 3))
-    labels = rng.integers(0, 3, 20)
-    gamma = 1.7
-    z = gamma * scores
-    oracle = 0.0
-    for i in range(20):
-        oracle += -np.log(np.exp(z[i, labels[i]]) / np.exp(z[i]).sum())
-    oracle /= 20
-    assert log_loss_eval(z, labels) == pytest.approx(oracle, abs=1e-12)

@@ -1,5 +1,7 @@
 """Covariance and dense linear-algebra primitives."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from sslci import (
     CovarianceBlocks,
-    blocks_from_data,
     empirical_cov,
     gaussian_ci_population,
     gaussian_conditionals_from_precision,
@@ -240,6 +241,24 @@ def test_inv_sqrt_rejects_asymmetric():
         inv_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_inv_sqrt_symmetry_rule_has_a_relative_term():
+    # accepted when |m − mᵀ| <= 1e-10 + 1e-5·|mᵀ| entrywise, then symmetrized
+    near = np.array([[2.0, 1.0 + 1e-6], [1.0, 2.0]])
+    assert np.array_equal(inv_sqrt(near), inv_sqrt((near + near.T) / 2.0))
+    with pytest.raises(ValueError, match="symmetric"):
+        inv_sqrt(np.array([[2.0, 1e-9], [0.0, 2.0]]))
+
+
+def test_inv_sqrt_accepts_large_scale_population_blocks():
+    # rounding leaves Σ_X1X1 asymmetric beyond any 1e-10 absolute rule
+    spec = random_gaussian_ci_spec(6, 5, 2, seed=0)
+    big = dataclasses.replace(spec, m1=1e4 * spec.m1, noise1=1e4 * spec.noise1)
+    sigma = gaussian_ci_population(big).sigma_x1x1
+    assert np.abs(sigma - sigma.T).max() > 1e-8
+    half = inv_sqrt(sigma)
+    assert np.allclose(half @ sigma @ half, np.eye(6), atol=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # pca_top_r
 
@@ -369,15 +388,3 @@ def test_precision_rejects_singular_joint():
     )
     with pytest.raises(ValueError):
         gaussian_conditionals_from_precision(blocks)
-
-
-def test_blocks_from_data_shapes():
-    rng = make_rng(15)
-    blocks = blocks_from_data(
-        rng.standard_normal((40, 3)),
-        rng.standard_normal((40, 2)),
-        rng.standard_normal((40, 1)),
-    )
-    assert blocks.d1 == 3 and blocks.d2 == 2 and blocks.k == 1
-    joint = blocks.joint()
-    assert np.allclose(joint, joint.T)

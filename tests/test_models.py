@@ -27,7 +27,7 @@ from sslci import (
     random_topic_spec,
 )
 import sslci.models
-from sslci.models import DiscreteJoint, LabeledDataset, _gaussian_ci_head, make_rng
+from sslci.models import DiscreteJoint, LabeledDataset, _gaussian_ci_draw, make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ def test_gaussian_sample_matches_population():
     spec = random_gaussian_ci_spec(3, 2, 2, seed=5)
     blocks = gaussian_ci_population(spec)
     data = gaussian_ci_sample(spec, 200_000, seed=1)
-    n = data.n
+    n = data.x1.shape[0]
     # SD of a product of two Gaussians is at most ~sqrt(2)·(max variance);
     # allow five such standard errors entrywise.
     tol = 5 * np.sqrt(2) * np.diag(blocks.joint()).max() / np.sqrt(n)
@@ -98,7 +98,7 @@ def test_gaussian_sample_deterministic():
 )
 def test_gaussian_head_is_bit_equal_to_the_sample_y_and_x1(dims, spec_seed, n, seed):
     spec = random_gaussian_ci_spec(*dims, seed=spec_seed)
-    y, x1, _ = _gaussian_ci_head(spec, n, seed)
+    y, x1 = _gaussian_ci_draw(spec, n, make_rng(seed))
     full = gaussian_ci_sample(spec, n, seed)
     # the model's first two draws: y, then the x1 noise
     rng = make_rng(seed)
@@ -113,9 +113,10 @@ def test_gaussian_head_is_bit_equal_to_the_sample_y_and_x1(dims, spec_seed, n, s
 
 def test_gaussian_head_rejects_empty_samples():
     spec = random_gaussian_ci_spec(2, 2, 1, seed=9)
-    for draw in (_gaussian_ci_head, gaussian_ci_sample):
-        with pytest.raises(ValueError, match="n must be >= 1"):
-            draw(spec, 0, 1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        _gaussian_ci_draw(spec, 0, make_rng(1))
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        gaussian_ci_sample(spec, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +359,7 @@ def test_failed_x2_draw_re_raises_on_every_read(monkeypatch):
 def test_labeled_dataset_keeps_its_arrays_and_row_check():
     x1, x2, y = np.zeros((3, 2)), np.ones((3, 1)), np.eye(3)
     data = LabeledDataset(x1=x1, x2=x2, y=y)
-    assert data.x1 is x1 and data.x2 is x2 and data.y is y and data.n == 3
+    assert data.x1 is x1 and data.x2 is x2 and data.y is y
     with pytest.raises(AttributeError):
         data.x3
     with pytest.raises(ValueError, match="x2 has 2 rows"):

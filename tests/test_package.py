@@ -1,7 +1,9 @@
 """Package-level properties: the public namespace, runtime dependencies and
 the README examples."""
 
+import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -40,6 +42,27 @@ def test_package_exports_exactly_the_library_modules_all():
     for module in modules:
         for name in module.__all__:
             assert getattr(sslci, name) is getattr(module, name), name
+
+
+def _names_read(path: Path) -> set[str]:
+    """Names, attributes and imported names in ``path``; a def or docstring reads none."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_exported_function_has_a_reader():
+    # a reader is library code or the benchmark; the tests alone do not count
+    library = [f for f in SRC.joinpath("sslci").glob("*.py") if f.name != "__init__.py"]
+    read = set().union(*map(_names_read, library + [*README.parent.glob("perfbench/*.py")]))
+    functions = {name for name in sslci.__all__ if inspect.isfunction(getattr(sslci, name))}
+    assert sorted(functions - read) == []
 
 
 def test_import_leaves_scipy_unloaded():
