@@ -4,8 +4,8 @@ Precedence is CLI flag > config file > built-in default.  A key's type is
 the type of its default: a grid is a comma-separated list of the type of
 its first entry, a flag is 1/true/yes or 0/false/no in any case, and
 ``pca``, the one exception, is an integer or empty for no truncation.
-Unknown keys and out-of-range values are a usage error, raised before any
-compute.
+Unknown or repeated keys and out-of-range values are a usage error, raised
+before any compute.
 """
 
 from __future__ import annotations
@@ -108,8 +108,10 @@ def _read_key_values(
     """Yield ``(key, raw value)`` per key=value line of a file.
 
     '#' starts a comment and blank lines are ignored; any other line
-    without '=', or with a key not in ``known``, is a :class:`ConfigError`.
+    without '=', with a key not in ``known``, or with a key an earlier line
+    set, is a :class:`ConfigError`.
     """
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -119,6 +121,9 @@ def _read_key_values(
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' already set on line {seen[key]}")
+        seen[key] = lineno
         yield key, raw
 
 

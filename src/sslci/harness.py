@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import threading
 import time
 import warnings
 from dataclasses import asdict, astuple, dataclass, fields
@@ -103,48 +102,24 @@ def _eval_heads(heads, target, ev_x1) -> dict[str, float]:
     return {m: mean_squared_error(fit, f, target, ev_x1) for m, (f, fit) in heads.items()}
 
 
-class _Helper(threading.Thread):
-    """Starts ``fn(*args)``; ``result()`` joins, then returns or re-raises here.
-
-    ``fn`` calls no public function: perfbench's tracer wraps those and keeps
-    one span stack for all threads.
-    """
-
-    def __init__(self, fn, *args):
-        super().__init__(target=self._keep, args=(fn, *args))
-        self.start()
-
-    def _keep(self, fn, *args):
-        try:
-            self.value, self.exc = fn(*args), None
-        except BaseException as exc:  # re-raised by result()
-            self.exc = exc
-
-    def result(self):
-        self.join()
-        if self.exc is not None:
-            raise self.exc
-        return self.value
-
-
 def _mixture_trial(*, d1, d2, k, alpha, n1, n2, eval_n, ridge, pca, seed, **_):
-    """One mixture trial; returns per-method MSE and an eps_ci estimate.  Helpers
-    draw the pretext and evaluation x2 (drawn on first read) while this thread
-    samples, fits and scores; the downstream x2 is never read, so never drawn."""
+    """One mixture trial; returns per-method MSE and an eps_ci estimate.  One
+    helper thread draws the pretext and then the evaluation x2 (drawn on first
+    read) while this thread samples, fits and scores; the downstream x2 is
+    never read, so never drawn.  The helper calls no public function:
+    perfbench's tracer wraps those and keeps one span stack for all threads."""
+    from concurrent.futures import ThreadPoolExecutor  # pulls in logging: import on use
     spec = random_mixture_spec(k, d1, d2, alpha, derive_seed(seed, 11))
     pre = mixture_sample(spec, n1, derive_seed(seed, 1))
-    helpers = [_Helper(getattr, pre, "x2")]
-    try:
+    with ThreadPoolExecutor(1) as helper:
+        helper.submit(getattr, pre, "x2")
         ev = mixture_sample(spec, eval_n, derive_seed(seed, 3))
-        helpers.append(_Helper(getattr, ev, "x2"))
+        helper.submit(getattr, ev, "x2")
         down = mixture_sample(spec, n2, derive_seed(seed, 2))
         star = partial(closed_form_psi_mixture, spec)
         target = partial(mixture_posterior, spec)
         scores = _eval_heads(_fit_heads(pre, down.x1, down.y, star, ridge, pca), target, ev.x1)
         return scores, eps_ci_linear_from_data(ev.x1, ev.x2, ev.y)
-    finally:
-        for helper in helpers:
-            helper.join()
 
 
 def _gaussian_population(d1: int, d2: int, k: int, seed: int):
@@ -169,23 +144,21 @@ def _gaussian_n2_trial(*, d1, d2, k, n1, n2, eval_n, ridge, pca, seed, **_):
     head is then k-feature OLS, whose MSE is pure estimation noise with mean
     tr(Σ_{Y|X1})·k/(n2 − k − 1), where Σ_{Y|X1} = Σ_YY − Σ_YX1·Σ_X1X1⁻¹·Σ_X1Y.
     The downstream and evaluation samples stop before their x2 draw, which
-    nothing reads.  Each is drawn on a helper thread while this thread draws
-    the pretext sample and fits ψ̂ and the heads.
+    nothing reads.  One helper thread draws the downstream and then the
+    evaluation sample while this thread draws the pretext sample and fits ψ̂
+    and the heads.  The helper calls no public function: perfbench's tracer
+    wraps those and keeps one span stack for all threads.
     """
+    from concurrent.futures import ThreadPoolExecutor  # pulls in logging: import on use
     spec, blocks, f_map, eps = _gaussian_population(d1, d2, k, derive_seed(seed, 11))
-    down, ev = helpers = [
-        _Helper(_gaussian_ci_draw, spec, n, make_rng(derive_seed(seed, sub)))
-        for sub, n in ((2, n2), (3, eval_n))
-    ]
-    try:
+    with ThreadPoolExecutor(1) as helper:
+        down = helper.submit(_gaussian_ci_draw, spec, n2, make_rng(derive_seed(seed, 2)))
+        ev = helper.submit(_gaussian_ci_draw, spec, eval_n, make_rng(derive_seed(seed, 3)))
         pre = gaussian_ci_sample(spec, n1, derive_seed(seed, 1))
         star = closed_form_psi_gaussian(blocks)
         down_y, down_x1 = down.result()
         heads = _fit_heads(pre, down_x1, down_y, star, ridge, pca)
         return _eval_heads(heads, lambda x: x @ f_map.T, ev.result()[1]), eps
-    finally:
-        for helper in helpers:
-            helper.join()
 
 
 def _gaussian_identity_trial(*, d1, d2, k, seed, **_):
@@ -402,6 +375,12 @@ def run(config: ExperimentConfig) -> RunResult:
 # self-check suite
 
 
+def _require(what: str, value, op: str, bound) -> None:
+    """Raise, naming ``what`` and both numbers, unless ``value op bound``; kept under -O."""
+    if not {"<": value < bound, "<=": value <= bound, ">": value > bound, "==": value == bound}[op]:
+        raise AssertionError(f"{what} = {value}, expected {op} {bound}")
+
+
 def _check_cov_primitives() -> None:
     rng = np.random.default_rng(5)
     from .linalg import empirical_cov, inv_sqrt, partial_cov, pinv
@@ -410,23 +389,22 @@ def _check_cov_primitives() -> None:
     b = rng.standard_normal((40, 2))
     ca = a - a.mean(axis=0)
     cb = b - b.mean(axis=0)
-    oracle = np.array(
-        [[(ca[:, i] * cb[:, j]).mean() for j in range(2)] for i in range(3)]
-    )
-    assert np.abs(empirical_cov(a, b) - oracle).max() < 1e-12
+    oracle = np.array([[(ca[:, i] * cb[:, j]).mean() for j in range(2)] for i in range(3)])
+    gap = np.abs(empirical_cov(a, b) - oracle).max()
+    _require("max |empirical_cov − oracle|", gap, "<", 1e-12)
 
     sab = rng.standard_normal((3, 2))
-    assert np.abs(partial_cov(sab, np.zeros((3, 2)), np.eye(2), np.zeros((2, 2))) - sab).max() == 0
+    gap = np.abs(partial_cov(sab, np.zeros((3, 2)), np.eye(2), np.zeros((2, 2))) - sab).max()
+    _require("max |partial_cov with zero cross blocks − Σ_ab|", gap, "==", 0)
 
     m = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))
-    mp = pinv(m)
-    assert np.abs(m @ mp @ m - m).max() < 1e-8
+    _require("max |m·pinv(m)·m − m|", np.abs(m @ pinv(m) @ m - m).max(), "<", 1e-8)
 
     g = rng.standard_normal((4, 4))
     psd = g @ g.T
     half = inv_sqrt(psd)
     proj = half @ psd @ half
-    assert np.abs(proj @ proj - proj).max() < 1e-8
+    _require("max |P² − P|, P = Σ^-½·Σ·Σ^-½", np.abs(proj @ proj - proj).max(), "<", 1e-8)
 
 
 def _check_least_squares() -> None:
@@ -439,8 +417,8 @@ def _check_least_squares() -> None:
     tol = 64 * 1e3**2 * np.finfo(np.float64).eps * np.linalg.norm(b)
     for spectrum in (np.logspace(0, -3, 8), np.append(np.logspace(0, -3, 7), 1e-7)):
         a = (u * spectrum) @ v.T
-        pred = fit_pretext_linear(a, b)(a)
-        assert np.abs(pred - a @ np.linalg.lstsq(a, b, rcond=1e-5)[0]).max() <= tol
+        gap = np.abs(fit_pretext_linear(a, b)(a) - a @ np.linalg.lstsq(a, b, rcond=1e-5)[0]).max()
+        _require(f"max |fit − lstsq| at σ_min {spectrum[-1]:g}", gap, "<=", tol)
 
 
 def _check_precision_routes() -> None:
@@ -451,21 +429,20 @@ def _check_precision_routes() -> None:
     m21, my_x, my_x1 = gaussian_conditionals_from_precision(blocks)
     s11 = blocks.sigma_x1x1
     direct_21 = blocks.sigma_x1x2.T @ np.linalg.inv(s11)
-    assert np.abs(m21 - direct_21).max() < 1e-8
+    _require("max |M_21 − Σ_21·Σ_11⁻¹|", np.abs(m21 - direct_21).max(), "<", 1e-8)
     direct_y1 = blocks.sigma_x1y.T @ np.linalg.inv(s11)
-    assert np.abs(my_x1 - direct_y1).max() < 1e-8
-    joint_xx = np.block(
-        [[s11, blocks.sigma_x1x2], [blocks.sigma_x1x2.T, blocks.sigma_x2x2]]
-    )
+    _require("max |M_Y1 − Σ_Y1·Σ_11⁻¹|", np.abs(my_x1 - direct_y1).max(), "<", 1e-8)
+    joint_xx = np.block([[s11, blocks.sigma_x1x2], [blocks.sigma_x1x2.T, blocks.sigma_x2x2]])
     sigma_yx = np.concatenate([blocks.sigma_x1y.T, blocks.sigma_x2y.T], axis=1)
-    assert np.abs(my_x - sigma_yx @ np.linalg.inv(joint_xx)).max() < 1e-8
+    direct_yx = sigma_yx @ np.linalg.inv(joint_xx)
+    _require("max |M_YX − Σ_YX·Σ_XX⁻¹|", np.abs(my_x - direct_yx).max(), "<", 1e-8)
 
 
 def _check_gaussian_identity() -> None:
     for seed in range(3):
         scores, eps = _gaussian_identity_trial(d1=6, d2=5, k=2, seed=seed)
-        assert scores["identity-residual"] < 1e-8
-        assert eps < 1e-8
+        _require(f"identity residual (seed {seed})", scores["identity-residual"], "<", 1e-8)
+        _require(f"eps_ci (seed {seed})", eps, "<", 1e-8)
 
 
 def _check_mixture_identity() -> None:
@@ -475,61 +452,62 @@ def _check_mixture_identity() -> None:
     rng = make_rng(99)
     mu1 = rng.uniform(0, 10, 4)
     mu2 = rng.uniform(0, 10, 3)
-    spec = MixtureSpec(
-        centers1=np.vstack([mu1, -mu1]),
-        centers2=np.vstack([mu2, -mu2]),
-        alpha=0.0,
-    )
+    spec = MixtureSpec(np.vstack([mu1, -mu1]), np.vstack([mu2, -mu2]), alpha=0.0)
     points = rng.standard_normal((200, 4)) * 3
     psi = closed_form_psi_mixture(spec, points)
     lhs = mixture_two_class_target(spec, points)
     rhs = psi @ mu2 / (mu2 @ mu2)
-    assert np.abs(lhs - rhs).max() < 1e-10
+    _require("max |two-class target − ψ*·μ2/‖μ2‖²|", np.abs(lhs - rhs).max(), "<", 1e-10)
 
 
 def _check_operator_suite() -> None:
     joint = discrete_joint_random((6, 5, 2), seed=3, ci_with_y=True)
     t_matrix = build_operator_t(joint)
     svals = np.linalg.svd(t_matrix, compute_uv=False)
-    assert abs(svals[0] - 1.0) < 1e-10
-    assert svals[2] < 1e-8  # rank <= |Y| under conditional independence
-    assert np.abs(t_matrix - build_operator_l(joint)).max() < 1e-10
-    assert eps_ci_tilde(joint) < 1e-10
+    _require("|σ_0(T) − 1|", abs(svals[0] - 1.0), "<", 1e-10)
+    _require("σ_2(T) under CI (rank ≤ |Y|)", svals[2], "<", 1e-8)
+    _require("max |T − L| under CI", np.abs(t_matrix - build_operator_l(joint)).max(), "<", 1e-10)
+    _require("eps_ci_tilde under CI", eps_ci_tilde(joint), "<", 1e-10)
 
     joint2 = discrete_joint_random((7, 6, 3), seed=4)
     t_matrix2 = build_operator_t(joint2)
     top = np.linalg.svd(t_matrix2 - build_operator_l(joint2), compute_uv=False)[0]
-    assert abs(eps_ci_tilde(joint2) - top) <= 1e-12 * top  # the Gram route
+    gap = abs(eps_ci_tilde(joint2) - top)  # the Gram route
+    _require("|eps_ci_tilde − σ_max(T − L)|", gap, "<=", 1e-12 * top)
     solution = ace_fit(joint2, k=2)
     dense = np.linalg.svd(t_matrix2, compute_uv=False)
-    assert np.abs(solution.sigmas - dense[1:3]).max() < 1e-8
+    _require("max |ACE σ − SVD σ|", np.abs(solution.sigmas - dense[1:3]).max(), "<", 1e-8)
     for j in (1, 2):  # the ACE route of maximal_correlation
-        assert abs(maximal_correlation(joint2, j) - dense[j]) <= 1e-10
+        gap = abs(maximal_correlation(joint2, j) - dense[j])
+        _require(f"|maximal_correlation(j={j}) − σ_{j}|", gap, "<=", 1e-10)
     ace_objective_identity_check(solution, joint2)
     for g_choice in ("pinv_of_A", "bayes_indicator"):
         bound, actual = apx_error_bound_eval(solution, joint2, g_choice)
-        assert actual <= bound + 1e-8
+        _require(f"error with g = {g_choice}", actual, "<=", bound + 1e-8)
 
 
 def _check_bayes_gap() -> None:
     from .independence import bayes_gap_check
 
-    joint = discrete_joint_random((5, 4, 3), seed=11)
-    lhs, rhs = bayes_gap_check(joint)
-    assert lhs <= rhs + 1e-12
+    lhs, rhs = bayes_gap_check(discrete_joint_random((5, 4, 3), seed=11))
+    _require("Bayes gap", lhs, "<=", rhs + 1e-12)
 
 
 def _check_latent_screening() -> None:
     from .independence import eps_ci_universal, eps_y_bar
     from .models import DiscreteJoint
 
-    assert eps_ci_universal(discrete_joint_random((5, 4, 3), seed=21, ci_with_y=True)) <= 1e-12
-    assert eps_ci_universal(discrete_joint_random((5, 4, 3), seed=22)) > 1e-4
+    ci = eps_ci_universal(discrete_joint_random((5, 4, 3), seed=21, ci_with_y=True))
+    _require("eps_ci_universal under CI", ci, "<=", 1e-12)
+    generic = eps_ci_universal(discrete_joint_random((5, 4, 3), seed=22))
+    _require("eps_ci_universal on a generic joint", generic, ">", 1e-4)
     p = np.zeros((3, 4, 2))  # axes (x1, latent, label), label = latent mod 2
     for s in range(4):
         p[:, s, s % 2] = make_rng(7, s).uniform(0.1, 1.0, 3)
-    assert eps_y_bar(DiscreteJoint(p=p / p.sum())) <= 1e-12
-    assert eps_y_bar(discrete_joint_random((3, 4, 2), seed=8)) > 1e-4
+    latent = eps_y_bar(DiscreteJoint(p=p / p.sum()))
+    _require("eps_y_bar with label = latent mod 2", latent, "<=", 1e-12)
+    generic = eps_y_bar(discrete_joint_random((3, 4, 2), seed=8))
+    _require("eps_y_bar on a generic joint", generic, ">", 1e-4)
 
 
 def _check_ci_report() -> None:
@@ -537,23 +515,24 @@ def _check_ci_report() -> None:
 
     data = mixture_sample(random_mixture_spec(3, 4, 5, 0.3, seed=5), 2_000, seed=6)
     report = ci_report_from_data(data.x1, data.x2, data.y)
-    assert report.eps_ci == eps_ci_linear_from_data(data.x1, data.x2, data.y)
+    eps = eps_ci_linear_from_data(data.x1, data.x2, data.y)
+    _require("ci_report_from_data(...).eps_ci", report.eps_ci, "==", eps)
     # centred one-hot ȳ (k = 3): Σ_ȳȳ is singular and rank(Σ_X2ȳ) ≤ k − 1
-    assert report.degenerate and report.rank_sigma_x2ybar <= 2
+    _require("report.degenerate", report.degenerate, "==", True)
+    _require("report.rank_sigma_x2ybar", report.rank_sigma_x2ybar, "<=", 2)
 
 
 def _check_topic_model() -> None:
     report = verify_latent_construction(random_topic_spec(4, 2, 3, 4, seed=2))
-    assert report.passed, "topic-model verification failed"
+    _require("topic-model report.passed", report.passed, "==", True)
 
 
 def _check_determinism() -> None:
     spec = random_mixture_spec(2, 3, 3, 0.0, seed=1)
-    a = mixture_sample(spec, 50, seed=42)
-    b = mixture_sample(spec, 50, seed=42)
-    c = mixture_sample(spec, 50, seed=43)
-    assert np.array_equal(a.x1, b.x1) and np.array_equal(a.x2, b.x2)
-    assert not np.array_equal(a.x1, c.x1)
+    a, b, c = (mixture_sample(spec, 50, seed=s) for s in (42, 42, 43))
+    same = np.array_equal(a.x1, b.x1) and np.array_equal(a.x2, b.x2)
+    _require("x1 and x2 equal at one seed", same, "==", True)
+    _require("x1 equal at two seeds", np.array_equal(a.x1, c.x1), "==", False)
 
 
 def selfcheck_checks() -> list[tuple[str, callable]]:

@@ -119,6 +119,15 @@ def test_load_config_parses_grids(tmp_path):
     assert config.alpha_grid == (0.0, 1.0)
 
 
+def test_repeated_config_key_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "cfg.txt", "trials = 3\n# comment\nseed = 1\ntrials = 1\n")
+    with pytest.raises(ConfigError, match=r"cfg\.txt:4: key 'trials' already set on line 1"):
+        load_config(path, {})
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    assert "key 'trials' already set on line 1" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_load_config_empty_pca_means_none(tmp_path):
     path = _write(tmp_path, "cfg.txt", "pca =\n")
     assert load_config(path, {}).pca is None
@@ -607,6 +616,36 @@ def test_mixture_trial_failure_joins_helpers_and_gives_one_row(
     assert two_blas_threads() == 2
 
 
+def test_gaussian_trial_draws_both_heads_on_one_helper_thread(monkeypatch):
+    draws = []
+
+    def recorded(spec, n, rng, draw=sslci.harness._gaussian_ci_draw):
+        draws.append((n, threading.get_ident()))
+        return draw(spec, n, rng)
+
+    monkeypatch.setattr("sslci.harness._gaussian_ci_draw", recorded)
+    _gaussian_n2_trial(**{**TINY, "ridge": 0.0, "pca": None})
+    [(n2, down), (eval_n, ev)] = draws
+    assert (n2, eval_n) == (TINY["n2"], TINY["eval_n"])
+    assert down == ev != threading.main_thread().ident
+
+
+def test_mixture_trial_draws_its_x2_on_at_most_one_helper_thread(monkeypatch):
+    readers = []
+
+    def recorded(spec, labels, x1, rng, draw=sslci.models._mixture_x2):
+        readers.append(threading.get_ident())
+        return draw(spec, labels, x1, rng)
+
+    monkeypatch.setattr("sslci.models._mixture_x2", recorded)
+    for seed in range(4):
+        readers.clear()
+        _mixture_trial(**{**TINY, "alpha": 0.5, "ridge": 0.0, "pca": None, "seed": seed})
+        # pretext and evaluation x2; the main thread draws one if it reads first
+        assert len(readers) == 2
+        assert len(set(readers) - {threading.main_thread().ident}) <= 1
+
+
 def test_blas_thread_count_is_restored_when_a_trial_raises(
     monkeypatch, two_blas_threads
 ):
@@ -678,6 +717,14 @@ def test_read_topic_spec_file_unknown_key(tmp_path, capsys, bad):
         read_topic_spec_file(path)
     assert main(["topic", "--spec", path]) == 2
     assert f"unknown key '{bad}'" in capsys.readouterr().err
+
+
+def test_read_topic_spec_file_repeated_key(tmp_path, capsys):
+    path = _write(tmp_path, "t.txt", TOPIC_SPEC + "w = -1.0, 1.0\n")
+    with pytest.raises(ValueError, match=r"t\.txt:8: key 'w' already set on line 6"):
+        read_topic_spec_file(path)
+    assert main(["topic", "--spec", path]) == 2
+    assert "key 'w' already set on line 6" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

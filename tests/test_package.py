@@ -65,6 +65,44 @@ def test_every_exported_function_has_a_reader():
     assert sorted(functions - read) == []
 
 
+def test_library_has_no_assert_statement():
+    # python -O strips assert statements; a check must raise to hold there
+    for path in SRC.joinpath("sslci").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert on lines {lines}"
+
+
+def test_failed_selfcheck_fails_under_python_O():
+    code = (
+        "import sys, sslci.independence as ind\n"
+        "exact = ind.eps_ci_universal\n"
+        "ind.eps_ci_universal = lambda joint: exact(joint) + 1e-3\n"
+        "from sslci.cli import main\n"
+        "sys.exit(main(['selfcheck']))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=ENV
+    )
+    assert out.returncode == 1, out.stdout + out.stderr
+    [failure] = [line for line in out.stdout.splitlines() if line.startswith("FAIL")]
+    name, reason = failure.removeprefix("FAIL ").split(": ", 1)
+    assert name == "latent-screening"
+    assert "eps_ci_universal" in reason and "1e-12" in reason
+
+
+def test_import_leaves_concurrent_futures_and_logging_unloaded():
+    # concurrent.futures imports logging; the trials that use it import it
+    code = (
+        "import sys, sslci.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=ENV
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_import_leaves_scipy_unloaded():
     code = "import sys, sslci; print(sorted(m for m in sys.modules if m[:5] == 'scipy'))"
     out = subprocess.run(
