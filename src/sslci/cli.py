@@ -10,12 +10,13 @@ Subcommands:
   wall time; nonzero exit on any failure.
 - ``sslci ace --joint FILE [--k K]``: operator diagnostics for a discrete
   joint given as a text file (header "x1_size x2_size y_size", then
-  probabilities in x1-major order); ``--k`` (default 3) is the number of
-  ACE function pairs.
+  probabilities in x1-major order); ``--k`` (default 3, at least 1) is the
+  number of ACE function pairs.
 - ``sslci topic --spec FILE``: exact verification of a finite-prior topic
   model described by a key=value file.
 
-Exit codes: 0 success, 1 check failure, 2 usage error.
+Exit codes: 0 success, 1 check failure, 2 usage error (a bad flag, config,
+input file or output path).
 """
 
 from __future__ import annotations
@@ -131,6 +132,8 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _cmd_ace(args) -> int:
+    if args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
     joint = read_joint_file(args.joint)
     svals = np.linalg.svd(build_operator_t(joint), compute_uv=False)
     print("weighted singular values:", " ".join(f"{s:.6f}" for s in svals[:8]))
@@ -195,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:  # ConfigError is a ValueError
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

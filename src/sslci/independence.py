@@ -13,60 +13,32 @@ given a (possibly latent) discrete variable:
   bounded by the Bayes error of the single-view problem.
 
 ``eps_ci_linear`` and ``beta_inv`` take covariance blocks, analytic or
-estimated, and the ``*_from_data`` helpers take raw samples;
+estimated; ``eps_ci_linear_from_data`` takes raw samples, and the sample
+coupling is ``beta_inv(empirical_cov(y, y), empirical_cov(x2, y))``.  A
+centred one-hot latent always gives a singular Σ_ȳȳ and a Σ_X2ȳ of rank at
+most k − 1, so that β is flagged ``degenerate``: an expected fallback.
 ``eps_ci_universal``, ``eps_y_bar`` and ``bayes_gap_check`` sum exactly over
 a finite-support :class:`~sslci.models.DiscreteJoint`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    Array,
-    _as_float,
-    _kept,
-    _singular,
-    empirical_cov,
-    inv_sqrt,
-    partial_cov,
-    pinv,
-)
+from .linalg import _as_float, _kept, empirical_cov, inv_sqrt, partial_cov, pinv
 from .models import DiscreteJoint, _label_marginal
 
 __all__ = [
     "BetaInvReport",
-    "CIReport",
     "bayes_gap_check",
     "beta_inv",
-    "ci_report_from_data",
     "eps_ci_linear",
     "eps_ci_linear_from_data",
     "eps_ci_universal",
     "eps_y_bar",
 ]
-
-
-@dataclass(frozen=True)
-class CIReport:
-    """Summary of conditional-independence diagnostics for one model.
-
-    ``rank_sigma_x2ybar`` is the numerical rank of Σ_X2ȳ; ``degenerate``
-    flags a singular Σ_ȳȳ or that rank below the latent cardinality k, both
-    of which a centred one-hot ȳ always has (its rank is at most k − 1).
-    """
-
-    eps_ci: float
-    beta_inv: float
-    rank_sigma_x2ybar: int
-    degenerate: bool
-
-    def __post_init__(self):
-        if self.eps_ci < 0 or self.beta_inv < 0:
-            raise ValueError("diagnostics must be nonnegative")
 
 
 class BetaInvReport(NamedTuple):
@@ -93,23 +65,18 @@ def eps_ci_linear(
     return float(np.linalg.norm(white, "fro"))
 
 
-def _sample_blocks(phi1, x2, ybar_onehot) -> tuple[Array, ...]:
-    """Σ_φ1φ1, Σ_φ1X2, Σ_φ1ȳ, Σ_ȳȳ, Σ_ȳX2 from samples, each centred once."""
+def eps_ci_linear_from_data(phi1, x2, ybar_onehot) -> float:
+    """Sample version of :func:`eps_ci_linear` from raw matrices, each centred once."""
     phi1, x2, ybar_onehot = (
         m - m.mean(axis=0) for m in map(_as_float, (phi1, x2, ybar_onehot))
     )
-    return (
+    return eps_ci_linear(
         empirical_cov(phi1, phi1, False),
         empirical_cov(phi1, x2, False),
         empirical_cov(phi1, ybar_onehot, False),
         empirical_cov(ybar_onehot, ybar_onehot, False),
         empirical_cov(ybar_onehot, x2, False),
     )
-
-
-def eps_ci_linear_from_data(phi1, x2, ybar_onehot) -> float:
-    """Sample version of :func:`eps_ci_linear` from raw matrices, centred."""
-    return eps_ci_linear(*_sample_blocks(phi1, x2, ybar_onehot))
 
 
 def _conditional_mean_gap(p1, p1t, p1l, ptl, pl) -> float:
@@ -182,21 +149,3 @@ def bayes_gap_check(joint: DiscreteJoint) -> tuple[float, float]:
     non_max = np.where(np.arange(ny) == p1y.argmax(axis=1)[:, None], 0.0, p1y)
     rhs = float(2.0 * ny * non_max.sum())
     return lhs, rhs
-
-
-def ci_report_from_data(x1, x2, ybar_onehot) -> CIReport:
-    """Empirical :class:`CIReport` from raw two-view labeled samples, centred.
-
-    Centred one-hot columns sum to zero, so a one-hot ȳ always gives a
-    singular Σ_ȳȳ, rank(Σ_X2ȳ) ≤ k − 1 and ``degenerate``: an expected fallback.
-    """
-    blocks = _sample_blocks(x1, x2, ybar_onehot)
-    sigma_ybarybar, sigma_ybarx2 = blocks[3:]
-    beta = beta_inv(sigma_ybarybar, sigma_ybarx2.T)
-    return CIReport(
-        eps_ci=eps_ci_linear(*blocks),
-        beta_inv=beta.value,
-        rank_sigma_x2ybar=beta.rank,
-        degenerate=_singular((sigma_ybarybar + sigma_ybarybar.T) / 2.0)
-        or beta.degenerate,
-    )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Array, CovarianceBlocks, _as_float, pca_top_r, pinv, solve_psd
-from .models import MixtureSpec, mixture_posterior
+from .models import MixtureSpec, _fit_width, mixture_posterior
 
 __all__ = [
     "DownstreamFit",
@@ -83,14 +83,16 @@ def optimal_downstream_map(blocks: CovarianceBlocks) -> Array:
 
 
 def closed_form_psi_mixture(spec: MixtureSpec, x1) -> Array:
-    """Population conditional mean E[X2 | x1] of the mixture at alpha = 0.
+    """Population representation ψ*(x1) = E[X2 | x1] of the mixture, any alpha.
 
-    Posterior-weighted class means of the second view:
-    ψ(x1) = Σ_y P(y|x1)·centers2[y].  Defined for any alpha, but equals
-    the true conditional mean only in the conditionally independent case.
+    The second view is X2 = (1 − α)·(centers2[y] + z) + α·pad(x1), with the
+    noise z independent of (x1, y) and pad the zero-padding or truncation of
+    x1 to d2 coordinates, so ψ*(x1) = (1 − α)·Σ_y P(y|x1)·centers2[y] +
+    α·pad(x1).  Accepts a single d1-vector or an n×d1 batch.
     """
-    post = mixture_posterior(spec, x1)
-    return post @ spec.centers2
+    psi = mixture_posterior(spec, x1) @ ((1.0 - spec.alpha) * spec.centers2)
+    psi += spec.alpha * _fit_width(np.atleast_2d(x1), spec.d2).reshape(psi.shape)
+    return psi
 
 
 def mixture_two_class_target(spec: MixtureSpec, x1) -> Array:

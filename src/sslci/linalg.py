@@ -72,6 +72,14 @@ def _kept(values: Array) -> Array:
     return values > DEFAULT_RANK_TOL * values.max(initial=0.0)
 
 
+def _symmetrized(mat: Array, what: str) -> Array:
+    """(M + Mᵀ)/2, for a square M with |m − mᵀ| ≤ 1e-10 + 1e-5·|mᵀ| entrywise
+    (``np.allclose``'s default rtol included); otherwise raises, naming ``what``."""
+    if not np.allclose(mat, mat.T, atol=1e-10):
+        raise ValueError(f"{what} must be symmetric")
+    return (mat + mat.T) / 2.0
+
+
 def _softmax_rows(z: Array) -> Array:
     """Softmax of each row of a 2-d float array, computed in place."""
     z -= z.max(axis=1, keepdims=True)
@@ -166,15 +174,12 @@ def inv_sqrt(m) -> Array:
 
     Eigenvalues at most ``DEFAULT_RANK_TOL`` times the largest count as
     zero.  Satisfies M^{−1/2} · M · M^{−1/2} = projector onto range(M).
-    Accepts M when |m − mᵀ| ≤ 1e-10 + 1e-5·|mᵀ| entrywise (``np.allclose``'s
-    default rtol included), then symmetrizes it; otherwise raises.
+    Accepts M when :func:`_symmetrized` does.
     """
     mat = _as_float(m)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("square matrix required")
-    if not np.allclose(mat, mat.T, atol=1e-10):
-        raise ValueError("matrix must be symmetric")
-    evals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
+    evals, vecs = np.linalg.eigh(_symmetrized(mat, "matrix"))
     keep = _kept(evals)
     inv = np.zeros_like(evals)
     inv[keep] = 1.0 / np.sqrt(evals[keep])

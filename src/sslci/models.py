@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Array, CovarianceBlocks, _as_float, _softmax_rows, _store_float_fields
+from .linalg import DEFAULT_RANK_TOL, Array, CovarianceBlocks, _as_float, _softmax_rows
+from .linalg import _store_float_fields, _symmetrized
 
 __all__ = [
     "DiscreteJoint",
@@ -106,7 +107,9 @@ class GaussianCISpec:
 
     Y ~ N(0, sigma_y), ε_i ~ N(0, noise_i²·I) independent, so the views
     are conditionally independent given Y by construction.  The arrays are
-    stored as finite float64 arrays, whose shapes give ``d1``, ``d2``, ``k``.
+    stored as finite float64 arrays, whose shapes give ``d1``, ``d2``, ``k``;
+    ``sigma_y`` must be a covariance (symmetric as for ``inv_sqrt``, no
+    eigenvalue below −``DEFAULT_RANK_TOL``·max|eig|) and is stored symmetrized.
     """
 
     m1: Array
@@ -124,12 +127,16 @@ class GaussianCISpec:
         _store_float_fields(
             self, {"m1": ("d1", "k"), "m2": ("d2", "k"), "sigma_y": ("k", "k")}
         )
+        sy = _symmetrized(self.sigma_y, "sigma_y")
+        evals = np.linalg.eigvalsh(sy)
+        if evals.min() < -DEFAULT_RANK_TOL * np.abs(evals).max():
+            raise ValueError(f"sigma_y has eigenvalue {evals.min():g}: not a covariance")
+        object.__setattr__(self, "sigma_y", sy)
 
 
 def gaussian_ci_population(spec: GaussianCISpec) -> CovarianceBlocks:
     """Analytic covariance blocks of the linear-Gaussian model."""
-    m1, m2 = spec.m1, spec.m2
-    sy = (spec.sigma_y + spec.sigma_y.T) / 2.0
+    m1, m2, sy = spec.m1, spec.m2, spec.sigma_y
     return CovarianceBlocks(
         sigma_x1x1=m1 @ sy @ m1.T + spec.noise1**2 * np.eye(spec.d1),
         sigma_x1x2=m1 @ sy @ m2.T,
@@ -145,7 +152,7 @@ def _gaussian_ci_draw(spec: GaussianCISpec, n: int, rng) -> tuple[Array, Array]:
     draw, so a caller that reads no x2 stops here.  Calls no public function."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    evals, vecs = np.linalg.eigh((spec.sigma_y + spec.sigma_y.T) / 2.0)
+    evals, vecs = np.linalg.eigh(spec.sigma_y)
     root = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.T
     y = rng.standard_normal((n, spec.k)) @ root.T
     x1 = y @ spec.m1.T + spec.noise1 * rng.standard_normal((n, spec.d1))

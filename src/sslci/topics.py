@@ -190,7 +190,8 @@ def verify_latent_construction(spec: TopicModelSpec) -> TopicReport:
 
     Checks, by full enumeration of the half-document space:
 
-    1. the latent has exactly k values (one per topic),
+    1. the latent size: the numerical rank of AΓ that :func:`beta_inv`
+       reports, k when the k topics are distinguishable through X2,
     2. the conditional mean of the second view given the first computed
        through the true model equals the one computed through the latent
        channel (conditional independence surrogate), to 1e-10,
@@ -198,7 +199,8 @@ def verify_latent_construction(spec: TopicModelSpec) -> TopicReport:
        in the latent posterior,
     4. 1/β = ‖(wᵀΓ)(AΓ)†‖₂ is at most κ·‖w‖₂ / s_min(A) where
        Γ = E[μμᵀ], κ is Γ's condition number and s_min(A) is the k-th
-       singular value of the V×k word matrix (0 when V < k: bound inf).
+       singular value of the V×k word matrix; the bound is inf whenever
+       the latent size is below k.
 
     Refuses specs beyond the enumeration limits.
     """
@@ -233,21 +235,20 @@ def verify_latent_construction(spec: TopicModelSpec) -> TopicReport:
     gamma = (atoms.T * weights) @ atoms  # E[μ μᵀ]
     evals = np.linalg.eigvalsh((gamma + gamma.T) / 2.0)
     kappa = float(evals.max() / evals.min()) if evals.min() > 0 else float("inf")
-    s_a = np.linalg.svd(spec.a, compute_uv=False)
-    s_min_a = float(s_a[-1]) if s_a.size == spec.topics else 0.0
-    beta_inv_val = beta_inv((w @ gamma)[None, :], spec.a @ gamma).value
-    beta_bound = kappa * float(np.linalg.norm(w)) / s_min_a if s_min_a else float("inf")
+    beta = beta_inv((w @ gamma)[None, :], spec.a @ gamma)
+    s_min_a = float(np.linalg.svd(spec.a, compute_uv=False)[-1])
+    beta_bound = float("inf") if beta.degenerate else kappa * float(np.linalg.norm(w)) / s_min_a
 
     passed = (
         eps_ci <= 1e-10
         and linearity_gap <= 1e-10
-        and beta_inv_val <= beta_bound + 1e-12
+        and beta.value <= beta_bound + 1e-12
     )
     return TopicReport(
-        latent_size=spec.topics,
+        latent_size=beta.rank,
         eps_ci=eps_ci,
         linearity_gap=linearity_gap,
-        beta_inv=beta_inv_val,
+        beta_inv=beta.value,
         beta_bound=beta_bound,
         kappa=kappa,
         passed=passed,

@@ -130,6 +130,12 @@ def test_acceptance_3_figure_reproduction_full_scale():
             psi_scores.append(scores["psi"])
             raw_scores.append(scores["raw-x1"])
         assert np.mean(psi_scores) < np.mean(raw_scores), f"n2={n2}"
+
+    # (d) the MSE of the population representation E[X2 | X1] also grows
+    # with alpha, on the rows of (b)
+    grid_a, means_star = _means(rows_a, "psi-star")
+    rho, _ = spearmanr(grid_a, means_star)
+    assert rho >= 0.9
     budget.check()
 
 

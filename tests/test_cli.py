@@ -761,6 +761,30 @@ def test_cli_run_missing_config_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_unusable_output_dir_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trials(config):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("sslci.harness._experiment_rows", no_trials)
+    cfg = _write(tmp_path, "cfg.txt", "experiment = mse-vs-k\ntrials = 1\n")
+    out = Path(_write(tmp_path, "file", "")) / "x"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert str(out) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["run", "{}"], ["ace", "--joint", "{}"], ["topic", "--spec", "{}"]],
+    ids=["config", "joint", "spec"],
+)
+def test_a_directory_as_the_input_file_exits_2(tmp_path, capsys, argv):
+    assert main([arg.format(tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert str(tmp_path) in captured.err
+    assert captured.out == ""
+
+
 def test_cli_run_bad_key_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.txt", "nope = 1\n")
     assert main(["run", cfg]) == 2
@@ -826,6 +850,14 @@ def test_cli_ace(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ace sigmas" in out
     assert "eps_ci_tilde" in out
+
+
+def test_cli_ace_rejects_k_below_one_before_any_output(tmp_path, capsys):
+    joint = _write(tmp_path, "j.txt", JOINT_CI)
+    assert main(["ace", "--joint", joint, "--k", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "--k" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_ace_prints_residual(tmp_path, capsys):

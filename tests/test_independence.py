@@ -7,7 +7,6 @@ from sslci import (
     DiscreteJoint,
     bayes_gap_check,
     beta_inv,
-    ci_report_from_data,
     discrete_joint_random,
     empirical_cov,
     eps_ci_linear,
@@ -252,16 +251,20 @@ def test_bayes_gap_lhs_loop_oracle():
 
 
 # ---------------------------------------------------------------------------
-# report
+# sample diagnostics
 
 
-def test_ci_report_from_data_fields():
+def _sample_beta(data):
+    return beta_inv(empirical_cov(data.y, data.y), empirical_cov(data.x2, data.y))
+
+
+def test_sample_eps_ci_and_beta_on_a_ci_mixture():
     spec = random_mixture_spec(2, 3, 3, alpha=0.0, seed=14)
     data = mixture_sample(spec, 30_000, seed=15)
-    report = ci_report_from_data(data.x1, data.x2, data.y)
-    assert report.eps_ci < 0.05
-    assert report.beta_inv > 0
-    assert report.rank_sigma_x2ybar >= 1
+    assert eps_ci_linear_from_data(data.x1, data.x2, data.y) < 0.05
+    beta = _sample_beta(data)
+    assert beta.value > 0
+    assert beta.rank >= 1
 
 
 @pytest.mark.parametrize("k", [2, 5, 8])
@@ -269,16 +272,20 @@ def test_one_hot_latent_is_always_degenerate(k):
     # centred one-hot columns sum to zero: Σ_ȳȳ is singular and
     # rank(Σ_X2ȳ) stops at k − 1 even with k <= d2
     data = mixture_sample(random_mixture_spec(k, 4, 9, alpha=0.3, seed=k), 4_000, seed=1)
-    report = ci_report_from_data(data.x1, data.x2, data.y)
-    assert report.rank_sigma_x2ybar == k - 1
-    assert report.degenerate
+    syy = empirical_cov(data.y, data.y)
+    assert solve_psd(syy, syy)[1]
+    beta = _sample_beta(data)
+    assert beta.rank == k - 1
+    assert beta.degenerate
 
 
 def test_gaussian_latent_is_not_degenerate():
     data = gaussian_ci_sample(random_gaussian_ci_spec(4, 6, 3, seed=2), 4_000, seed=3)
-    report = ci_report_from_data(data.x1, data.x2, data.y)
-    assert report.rank_sigma_x2ybar == 3
-    assert not report.degenerate
+    syy = empirical_cov(data.y, data.y)
+    assert not solve_psd(syy, syy)[1]
+    beta = _sample_beta(data)
+    assert beta.rank == 3
+    assert not beta.degenerate
 
 
 def _five_blocks_centred_per_call(x1, x2, ybar, center):
@@ -301,27 +308,3 @@ def test_eps_ci_linear_from_data_matches_per_call_centring(center):
     data = mixture_sample(spec, 3_000, seed=17)
     oracle = eps_ci_linear(*_five_blocks_centred_per_call(data.x1, data.x2, data.y, center))
     assert _close(eps_ci_linear_from_data(data.x1, data.x2, data.y), oracle)
-
-
-@pytest.mark.parametrize("center", [True])
-def test_ci_report_from_data_matches_separate_block_calls(center):
-    spec = random_mixture_spec(5, 6, 4, alpha=0.4, seed=18)
-    data = mixture_sample(spec, 3_000, seed=19)
-    blocks = _five_blocks_centred_per_call(data.x1, data.x2, data.y, center)
-    eps = eps_ci_linear(*blocks)
-    degenerate = solve_psd(blocks[3], blocks[4])[1]
-    beta = beta_inv(
-        empirical_cov(data.y, data.y, center), empirical_cov(data.x2, data.y, center)
-    )
-    report = ci_report_from_data(data.x1, data.x2, data.y)
-    assert _close(report.eps_ci, eps)
-    assert _close(report.beta_inv, beta.value)
-    assert report.rank_sigma_x2ybar == beta.rank
-    assert report.degenerate == (degenerate or beta.degenerate)
-
-
-def test_ci_report_rejects_negative():
-    from sslci.independence import CIReport
-
-    with pytest.raises(ValueError):
-        CIReport(eps_ci=-1.0, beta_inv=0.0, rank_sigma_x2ybar=0, degenerate=False)

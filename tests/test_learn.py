@@ -13,6 +13,7 @@ from sslci import (
     closed_form_f_gaussian,
     closed_form_psi_gaussian,
     closed_form_psi_mixture,
+    empirical_cov,
     fit_downstream,
     fit_pretext_linear,
     gaussian_ci_population,
@@ -140,6 +141,28 @@ def test_mixture_psi_matches_kernel_conditional_mean():
     psi = closed_form_psi_mixture(spec, probe)
     # kernel smoothing has O(bandwidth^2) bias; tolerance is loose
     assert np.abs(psi - oracle).max() < 0.2
+
+
+@pytest.mark.parametrize("d1, d2", [(3, 5), (5, 3)], ids=["pad", "truncate"])
+def test_mixture_psi_at_alpha_one_is_the_fitted_first_view(d1, d2):
+    spec = random_mixture_spec(3, d1, d2, alpha=1.0, seed=7)
+    x1 = make_rng(8).standard_normal((50, d1))
+    width = min(d1, d2)
+    padded = np.zeros((50, d2))
+    padded[:, :width] = x1[:, :width]
+    assert np.array_equal(closed_form_psi_mixture(spec, x1), padded)
+    assert np.array_equal(closed_form_psi_mixture(spec, x1[4]), padded[4])
+
+
+def test_mixture_psi_residual_is_uncorrelated_with_x1_at_half_alpha():
+    # ψ* = E[X2 | X1], so X2 − ψ*(X1) is uncorrelated with every function of X1
+    spec = random_mixture_spec(3, 4, 6, alpha=0.5, seed=21)
+    data = mixture_sample(spec, 200_000, seed=22)
+    resid = data.x2 - closed_form_psi_mixture(spec, data.x1)
+    for feats in (data.x1, mixture_posterior(spec, data.x1)):
+        cov = empirical_cov(resid, feats)
+        monte_carlo = np.outer(resid.std(axis=0), feats.std(axis=0)) / np.sqrt(len(resid))
+        assert np.all(np.abs(cov) <= 5 * monte_carlo)
 
 
 def test_mixture_two_class_identity_pointwise():

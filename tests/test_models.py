@@ -61,6 +61,29 @@ def test_gaussian_population_scalar_hand_case():
     assert blocks.sigma_x2y[0, 0] == pytest.approx(1.0)
 
 
+def _spec_with_sigma_y(sigma_y):
+    return GaussianCISpec(
+        m1=np.ones((2, 2)), m2=np.ones((3, 2)), noise1=1.0, noise2=1.0, sigma_y=sigma_y
+    )
+
+
+@pytest.mark.parametrize(
+    "sigma_y, message",
+    [([[1.0, 2.0], [2.0, 1.0]], "eigenvalue -1"), ([[1.0, 0.5], [0.0, 1.0]], "symmetric")],
+    ids=["indefinite", "asymmetric"],
+)
+def test_gaussian_spec_rejects_a_sigma_y_that_is_not_a_covariance(sigma_y, message):
+    with pytest.raises(ValueError, match=f"sigma_y.*{message}"):
+        _spec_with_sigma_y(np.array(sigma_y))
+
+
+def test_gaussian_spec_stores_sigma_y_symmetrized():
+    # within inv_sqrt's symmetry rule, and singular but PSD
+    spec = _spec_with_sigma_y(np.array([[1.0, 1.0 + 1e-12], [1.0, 1.0]]))
+    assert np.array_equal(spec.sigma_y, spec.sigma_y.T)
+    assert spec.sigma_y[0, 1] == (1.0 + (1.0 + 1e-12)) / 2.0
+
+
 def test_gaussian_sample_matches_population():
     spec = random_gaussian_ci_spec(3, 2, 2, seed=5)
     blocks = gaussian_ci_population(spec)

@@ -227,6 +227,26 @@ def test_coupling_bound_is_inf_when_vocab_is_below_topics():
     assert report.passed
 
 
+def test_latent_size_is_the_rank_of_a_duplicated_topic_column():
+    # topic 2 emits the words of topic 0, so X2 tells only two topics apart
+    spec = random_topic_spec(5, 3, 4, 4, seed=0)
+    a = spec.a.copy()
+    a[:, 2] = a[:, 0]
+    report = verify_latent_construction(dataclasses.replace(spec, a=a))
+    assert report.latent_size == 2
+    assert report.beta_bound == float("inf")
+
+
+def test_coupling_bound_is_inf_when_the_prior_spans_fewer_topics():
+    # 2 atoms for 3 topics: Γ = E[μμᵀ] has rank 2, and with w = 0 the bound
+    # must not read inf·0
+    spec = random_topic_spec(4, 3, 2, 4, seed=0)
+    report = verify_latent_construction(dataclasses.replace(spec, w=np.zeros(3)))
+    assert report.latent_size == 2
+    assert report.beta_bound == float("inf")
+    assert report.passed
+
+
 def test_verify_latent_construction_kappa_one_for_single_topic():
     report = verify_latent_construction(_single_topic_spec())
     assert report.kappa == pytest.approx(1.0)
