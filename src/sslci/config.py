@@ -2,8 +2,7 @@
 
 Precedence is CLI flag > config file > built-in default.  A key's type is
 the type of its default: a grid is a comma-separated list of the type of
-its first entry, a flag is 1/true/yes or 0/false/no in any case, and
-``pca``, the one exception, is an integer or empty for no truncation.
+its first entry, and a flag is 1/true/yes or 0/false/no in any case.
 Unknown or repeated keys and out-of-range values are a usage error, raised
 before any compute.
 """
@@ -47,8 +46,6 @@ class ExperimentConfig:
     n2_grid: tuple[int, ...] = (250, 500, 1000, 2000)
     trials: int = 30
     seed: int = 0
-    ridge: float = 0.0
-    pca: int | None = None
     eval_n: int = 10_000
     output_dir: str = "."
     plot: bool = False
@@ -75,10 +72,6 @@ class ExperimentConfig:
             raise ConfigError("k_grid entries must be >= 2")
         if not all(0.0 <= a <= 1.0 for a in (self.alpha, *self.alpha_grid)):
             raise ConfigError("alpha and alpha_grid entries must be in [0, 1]")
-        if not 0 <= self.ridge < float("inf"):
-            raise ConfigError("ridge must be finite and nonnegative")
-        if self.pca is not None and not 1 <= self.pca <= min(self.d1, self.d2):
-            raise ConfigError("pca must be in [1, min(d1, d2)]")
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
@@ -87,8 +80,6 @@ _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 def _parse_value(key: str, raw: str):
     default = _DEFAULTS[key]
     try:
-        if key == "pca":
-            return int(raw) if raw else None
         if isinstance(default, bool):
             if raw.lower() in ("1", "true", "yes"):
                 return True

@@ -88,11 +88,11 @@ class RunResult:
     summary_path: Path
 
 
-def _fit_heads(pre, down_x1, down_y, star, ridge, pca) -> dict:
+def _fit_heads(pre, down_x1, down_y, star) -> dict:
     """{method: (features, head)} for ψ̂ (fit on ``pre``), ψ* and raw x1 features."""
-    rep = fit_pretext_linear(pre.x1, pre.x2, ridge)
+    rep = fit_pretext_linear(pre.x1, pre.x2)
     return {
-        method: (features, fit_downstream(features(down_x1), down_y, ridge, pca))
+        method: (features, fit_downstream(features(down_x1), down_y))
         for method, features in (("psi", rep), ("psi-star", star), ("raw-x1", lambda x: x))
     }
 
@@ -102,7 +102,7 @@ def _eval_heads(heads, target, ev_x1) -> dict[str, float]:
     return {m: mean_squared_error(fit, f, target, ev_x1) for m, (f, fit) in heads.items()}
 
 
-def _mixture_trial(*, d1, d2, k, alpha, n1, n2, eval_n, ridge, pca, seed, **_):
+def _mixture_trial(*, d1, d2, k, alpha, n1, n2, eval_n, seed, **_):
     """One mixture trial; returns per-method MSE and an eps_ci estimate.  One
     helper thread draws the pretext and then the evaluation x2 (drawn on first
     read) while this thread samples, fits and scores; the downstream x2 is
@@ -118,7 +118,7 @@ def _mixture_trial(*, d1, d2, k, alpha, n1, n2, eval_n, ridge, pca, seed, **_):
         down = mixture_sample(spec, n2, derive_seed(seed, 2))
         star = partial(closed_form_psi_mixture, spec)
         target = partial(mixture_posterior, spec)
-        scores = _eval_heads(_fit_heads(pre, down.x1, down.y, star, ridge, pca), target, ev.x1)
+        scores = _eval_heads(_fit_heads(pre, down.x1, down.y, star), target, ev.x1)
         return scores, eps_ci_linear_from_data(ev.x1, ev.x2, ev.y)
 
 
@@ -136,7 +136,7 @@ def _gaussian_population(d1: int, d2: int, k: int, seed: int):
     return spec, blocks, closed_form_f_gaussian(blocks), eps
 
 
-def _gaussian_n2_trial(*, d1, d2, k, n1, n2, eval_n, ridge, pca, seed, **_):
+def _gaussian_n2_trial(*, d1, d2, k, n1, n2, eval_n, seed, **_):
     """One exact-CI trial at downstream sample size n2.
 
     The linear-Gaussian model satisfies conditional independence exactly and
@@ -157,7 +157,7 @@ def _gaussian_n2_trial(*, d1, d2, k, n1, n2, eval_n, ridge, pca, seed, **_):
         pre = gaussian_ci_sample(spec, n1, derive_seed(seed, 1))
         star = closed_form_psi_gaussian(blocks)
         down_y, down_x1 = down.result()
-        heads = _fit_heads(pre, down_x1, down_y, star, ridge, pca)
+        heads = _fit_heads(pre, down_x1, down_y, star)
         return _eval_heads(heads, lambda x: x @ f_map.T, ev.result()[1]), eps
 
 

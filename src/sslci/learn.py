@@ -3,9 +3,8 @@
 Step one regresses the second view on the first (the pretext task) to learn
 a representation ψ; step two fits a linear head from ψ(x1) to the label.
 Closed-form population representations are provided for the Gaussian and
-mixture models, alongside finite-sample ridge/OLS fits, optional principal
-component truncation of the downstream features, and risk evaluation as
-the mean squared error, with no 1/2 factor.
+mixture models, alongside finite-sample least-squares fits and risk
+evaluation as the mean squared error, with no 1/2 factor.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Array, CovarianceBlocks, _as_float, pca_top_r, pinv, solve_psd
+from .linalg import Array, CovarianceBlocks, _as_float, pinv, solve_psd
 from .models import MixtureSpec, _fit_width, mixture_posterior
 
 __all__ = [
@@ -103,67 +102,43 @@ def mixture_two_class_target(spec: MixtureSpec, x1) -> Array:
     return post[..., 0] - post[..., 1]
 
 
-def _least_squares(a: Array, b: Array, ridge: float) -> Array:
-    """Solve (AᵀA + n·ridge·I) W = AᵀB with ``solve_psd``.
+def _least_squares(a: Array, b: Array) -> Array:
+    """Solve AᵀA W = AᵀB with ``solve_psd``.
 
-    With ridge = 0, singular values of A at or below 1e-5·σ_max (AᵀA
-    eigenvalues at or below ``DEFAULT_RANK_TOL``·λ_max) are dropped and W is
-    the minimum-norm solution on the kept directions, as from
+    Singular values of A at or below 1e-5·σ_max (AᵀA eigenvalues at or
+    below ``DEFAULT_RANK_TOL``·λ_max) are dropped and W is the minimum-norm
+    solution on the kept directions, as from
     ``np.linalg.lstsq(a, b, rcond=1e-5)``, not numpy's ``rcond=None``.
     """
-    if not 0 <= ridge < np.inf:
-        raise ValueError("ridge must be finite and nonnegative")
-    n, d = a.shape
-    return solve_psd(a.T @ a + n * ridge * np.eye(d), a.T @ b)[0]
+    return solve_psd(a.T @ a, a.T @ b)[0]
 
 
-def fit_pretext_linear(x1_pre, x2, ridge: float = 0.0) -> LinearRepresentation:
-    """Least-squares fit of the second view from the first.
-
-    Solves (X1ᵀX1 + n·ridge·I) Bᵀ = X1ᵀX2.  With ridge = 0, singular
-    values of X1 at or below 1e-5·σ_max (X1ᵀX1 eigenvalues at or below
-    ``DEFAULT_RANK_TOL``·λ_max) are dropped and Bᵀ is the minimum-norm
-    solution on the kept directions; this is not numpy's ``rcond=None``.
-    """
-    a = _as_float(x1_pre)
-    b = _as_float(x2)
+def _checked_rows(a, b) -> tuple[Array, Array]:
+    """``a`` and ``b`` as float arrays; raises unless their row counts agree."""
+    a, b = _as_float(a), _as_float(b)
     if a.shape[0] != b.shape[0]:
         raise ValueError("row counts differ")
-    return LinearRepresentation(b=_least_squares(a, b, ridge).T)
+    return a, b
 
 
-def fit_downstream(
-    psi_x1,
-    y,
-    ridge: float = 0.0,
-    pca_rank: int | None = None,
-) -> DownstreamFit:
-    """Linear head fit on representation outputs.
+def fit_pretext_linear(x1_pre, x2) -> LinearRepresentation:
+    """Least-squares fit of the second view from the first.
 
-    With ``pca_rank`` the features are first projected onto their top
-    principal directions; the head is fit there and stored back-projected
-    into the original coordinates, so ``predict`` always consumes raw
-    representation outputs.
-
-    The head solves (FᵀF + n·ridge·I) W = FᵀY.  With ridge = 0, singular
-    values of the features F at or below 1e-5·σ_max (FᵀF eigenvalues at or
-    below ``DEFAULT_RANK_TOL``·λ_max) are dropped and W is the minimum-norm
-    solution on the kept directions; this is not numpy's ``rcond=None``.
+    Singular values of X1 at or below 1e-5·σ_max are dropped and Bᵀ is the
+    minimum-norm solution on the kept directions, as from
+    ``np.linalg.lstsq(x1_pre, x2, rcond=1e-5)``.
     """
-    feats = _as_float(psi_x1)
-    targets = _as_float(y)
-    if feats.shape[0] != targets.shape[0]:
-        raise ValueError("row counts differ")
-    proj = None
-    if pca_rank is not None:
-        if pca_rank > feats.shape[1]:
-            raise ValueError("pca_rank exceeds feature dimension")
-        proj, _ = pca_top_r(feats, pca_rank)
-        feats = feats @ proj
-    w = _least_squares(feats, targets, ridge)
-    if proj is not None:
-        w = proj @ w
-    return DownstreamFit(w_hat=w)
+    return LinearRepresentation(b=_least_squares(*_checked_rows(x1_pre, x2)).T)
+
+
+def fit_downstream(psi_x1, y) -> DownstreamFit:
+    """Least-squares linear head on representation outputs.
+
+    Singular values of the features F at or below 1e-5·σ_max are dropped
+    and W is the minimum-norm solution on the kept directions, as from
+    ``np.linalg.lstsq(psi_x1, y, rcond=1e-5)``.
+    """
+    return DownstreamFit(w_hat=_least_squares(*_checked_rows(psi_x1, y)))
 
 
 def mean_squared_error(fit: DownstreamFit, rep, f_star, eval_x1) -> float:

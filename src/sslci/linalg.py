@@ -27,7 +27,6 @@ __all__ = [
     "gaussian_conditionals_from_precision",
     "inv_sqrt",
     "partial_cov",
-    "pca_top_r",
     "pinv",
     "solve_psd",
 ]
@@ -186,39 +185,12 @@ def inv_sqrt(m) -> Array:
     return (vecs * inv) @ vecs.T
 
 
-def pca_top_r(samples, r: int) -> tuple[Array, Array]:
-    """Top-r principal directions of a sample matrix.
-
-    Returns ``(projection, spectrum)`` where the d×r projection has
-    orthonormal columns (deterministic sign convention) and ``spectrum``
-    holds the top r singular values of the centered samples divided by √n,
-    in non-increasing order.
-    """
-    x = _as_float(samples)
-    if x.ndim != 2:
-        raise ValueError("sample matrix must be 2-d")
-    n, d = x.shape
-    if not 1 <= r <= d:
-        raise ValueError(f"r must be in [1, {d}], got {r}")
-    _, s, vt = np.linalg.svd((x - x.mean(axis=0)) / np.sqrt(n), full_matrices=False)
-    proj = vt.T[:, :r]
-    if proj.shape[1] < r:
-        # fewer samples than r: QR of [proj, I] extends proj to an orthonormal basis
-        q, _ = np.linalg.qr(np.hstack([proj, np.eye(d)]))
-        proj = np.hstack([proj, q[:, proj.shape[1] : r]])
-    proj = proj * _sign_fix_columns(proj)
-    spectrum = np.zeros(r)
-    spectrum[: min(r, s.size)] = s[:r]
-    return proj, spectrum
-
-
 @dataclass(frozen=True)
 class CovarianceBlocks:
     """Joint covariance of (x1, x2, y) stored blockwise.
 
-    The same container carries analytic population blocks and empirical
-    estimates; every diagonal block is symmetric PSD and the assembled
-    joint matrix is PSD.  Blocks are stored as finite float64 arrays;
+    The caller must pass blocks whose assembled joint matrix is symmetric
+    PSD; this is not checked.  Blocks are stored as finite float64 arrays;
     ``d1``, ``d2`` and ``k`` are read from their shapes.
     """
 

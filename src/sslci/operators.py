@@ -290,9 +290,12 @@ def apx_error_bound_eval(
 
     - ``"pinv_of_A"``: columns of the pseudo-inverse of A where
       A[y, x2] = p(x2|y), so E[g_y(X2)|Y=y'] = 1(y'=y) when A has full
-      row rank (flagged degenerate otherwise),
+      row rank; with a rank-deficient A it only approximates those
+      indicators,
     - ``"bayes_indicator"``: g_y = indicator of the Bayes classifier of y
       from x2.
+
+    The bound holds for any witness, since T_k·g_y lies in span[1, ψ].
 
     Returns ``(bound, actual)`` with
     bound = Σ_y 2(‖(T_k − L)g_y‖² + ‖L g_y − f*_y‖²)  (norms in L²(p(x1)))
@@ -330,7 +333,7 @@ def apx_error_bound_eval(
 
     features = np.concatenate([np.ones((p1.size, 1)), solution.psi], axis=1)
     sw = np.sqrt(p1)[:, None]
-    w = _least_squares(sw * features, sw * f_star, 0.0)
+    w = _least_squares(sw * features, sw * f_star)
     actual = float(((sw * (features @ w - f_star)) ** 2).sum())
     if actual > bound + 1e-8:
         raise AssertionError("achieved error exceeds the bound")

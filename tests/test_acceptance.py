@@ -123,8 +123,6 @@ def test_acceptance_3_figure_reproduction_full_scale():
                 n1=config.n1,
                 n2=n2,
                 eval_n=config.eval_n,
-                ridge=config.ridge,
-                pca=config.pca,
                 seed=seed,
             )
             psi_scores.append(scores["psi"])

@@ -128,11 +128,6 @@ def test_repeated_config_key_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "results.csv").exists()
 
 
-def test_load_config_empty_pca_means_none(tmp_path):
-    path = _write(tmp_path, "cfg.txt", "pca =\n")
-    assert load_config(path, {}).pca is None
-
-
 @pytest.mark.parametrize(
     "raw, expected",
     [("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False)],
@@ -149,6 +144,9 @@ def test_load_config_parses_plot_flag(tmp_path, raw, expected):
         ("trials = 0\n", "trials must be >= 1"),
         ("k_grid = ,\n", "k_grid must be nonempty"),
         ("seed = 1\njust a line\n", "cfg.txt:2: expected key=value"),
+        # ridge and pca are not keys: every fit is plain least squares
+        ("seed = 1\nridge = 0.0\n", "cfg.txt:2: unknown key 'ridge'"),
+        ("pca =\n", "cfg.txt:1: unknown key 'pca'"),
     ],
 )
 def test_load_config_rejects_bad_file_line(tmp_path, text, message):
@@ -169,6 +167,8 @@ def test_readme_config_block_loads_as_the_defaults(tmp_path):
     block = section.split("```\n", 2)[1]
     assert "experiment = mse-vs-k" in block
     path = _write(tmp_path, "readme.cfg", block)
+    # every key once: a repeated key is a ConfigError, a missing one fails here
+    assert set(parse_config_file(path)) == {f.name for f in fields(ExperimentConfig)}
     assert load_config(path, {}) == ExperimentConfig()
 
 
@@ -190,11 +190,6 @@ def test_readme_config_block_loads_as_the_defaults(tmp_path):
         "alpha = 1.5",
         "alpha = nan",
         "alpha_grid = 0.0, -0.25",
-        "ridge = -1.0",
-        "ridge = nan",
-        "ridge = inf",
-        "pca = 0",
-        "pca = 41",
         "seed = -1",
     ],
 )
@@ -423,9 +418,8 @@ def test_grid_fields_name_the_field_their_value_replaces():
         assert {grid_field, grid_field.removesuffix("_grid")} <= names
 
 
-@pytest.mark.parametrize("ridge, pca", [(0.0, None), (0.01, 3)])
-def test_gaussian_n2_trial_matches_scores_on_three_full_samples(ridge, pca):
-    params = dict(d1=6, d2=5, k=2, n1=300, n2=80, eval_n=500, ridge=ridge, pca=pca)
+def test_gaussian_n2_trial_matches_scores_on_three_full_samples():
+    params = dict(d1=6, d2=5, k=2, n1=300, n2=80, eval_n=500)
     seed = derive_seed(7, 1, 2)
     scores, eps = _gaussian_n2_trial(**params, seed=seed)
     spec, blocks, f_map, want_eps = _gaussian_population(6, 5, 2, derive_seed(seed, 11))
@@ -434,7 +428,7 @@ def test_gaussian_n2_trial_matches_scores_on_three_full_samples(ridge, pca):
         for sub, size in ((1, "n1"), (2, "n2"), (3, "eval_n"))
     )
     star = closed_form_psi_gaussian(blocks)
-    heads = _fit_heads(pre, down.x1, down.y, star, ridge, pca)
+    heads = _fit_heads(pre, down.x1, down.y, star)
     want = _eval_heads(heads, lambda x: x @ f_map.T, ev.x1)
     assert list(scores) == list(want) == ["psi", "psi-star", "raw-x1"]
     assert scores == want and eps == want_eps
@@ -454,8 +448,6 @@ def test_experiment_rows_match_direct_trial_calls():
                 n1=config.n1,
                 n2=config.n2,
                 eval_n=config.eval_n,
-                ridge=config.ridge,
-                pca=config.pca,
                 seed=seed,
             )
             for method, mse in scores.items():
@@ -624,7 +616,7 @@ def test_gaussian_trial_draws_both_heads_on_one_helper_thread(monkeypatch):
         return draw(spec, n, rng)
 
     monkeypatch.setattr("sslci.harness._gaussian_ci_draw", recorded)
-    _gaussian_n2_trial(**{**TINY, "ridge": 0.0, "pca": None})
+    _gaussian_n2_trial(**TINY)
     [(n2, down), (eval_n, ev)] = draws
     assert (n2, eval_n) == (TINY["n2"], TINY["eval_n"])
     assert down == ev != threading.main_thread().ident
@@ -640,7 +632,7 @@ def test_mixture_trial_draws_its_x2_on_at_most_one_helper_thread(monkeypatch):
     monkeypatch.setattr("sslci.models._mixture_x2", recorded)
     for seed in range(4):
         readers.clear()
-        _mixture_trial(**{**TINY, "alpha": 0.5, "ridge": 0.0, "pca": None, "seed": seed})
+        _mixture_trial(**{**TINY, "alpha": 0.5, "seed": seed})
         # pretext and evaluation x2; the main thread draws one if it reads first
         assert len(readers) == 2
         assert len(set(readers) - {threading.main_thread().ident}) <= 1

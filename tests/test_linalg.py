@@ -14,7 +14,6 @@ from sslci import (
     gaussian_conditionals_from_precision,
     inv_sqrt,
     partial_cov,
-    pca_top_r,
     pinv,
     random_gaussian_ci_spec,
 )
@@ -257,64 +256,6 @@ def test_inv_sqrt_accepts_large_scale_population_blocks():
     assert np.abs(sigma - sigma.T).max() > 1e-8
     half = inv_sqrt(sigma)
     assert np.allclose(half @ sigma @ half, np.eye(6), atol=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# pca_top_r
-
-
-def test_pca_rank_one_samples():
-    rng = make_rng(10)
-    direction = rng.standard_normal(4)
-    samples = rng.standard_normal((50, 1)) * direction[None, :]
-    proj, spectrum = pca_top_r(samples, 2)
-    assert spectrum[0] > 0
-    assert spectrum[1] < 1e-10
-    assert np.allclose(proj.T @ proj, np.eye(2), atol=1e-10)
-
-
-def test_pca_isotropic_spectrum_flat():
-    rng = make_rng(11)
-    samples = rng.standard_normal((20_000, 3))
-    _, spectrum = pca_top_r(samples, 3)
-    assert spectrum.max() - spectrum.min() < 0.05
-
-
-def test_pca_full_rank_orthogonal():
-    rng = make_rng(12)
-    samples = rng.standard_normal((30, 4))
-    proj, spectrum = pca_top_r(samples, 4)
-    assert np.allclose(proj.T @ proj, np.eye(4), atol=1e-10)
-    assert np.all(np.diff(spectrum) <= 1e-12)
-
-
-@pytest.mark.parametrize(
-    "samples, r",
-    [
-        (make_rng(14).standard_normal((3, 6)), 5),
-        # axis-aligned samples: the principal direction is a standard basis vector
-        (np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]), 3),
-    ],
-)
-def test_pca_completes_basis_when_samples_are_fewer_than_r(samples, r):
-    n, d = samples.shape
-    proj, spectrum = pca_top_r(samples, r)
-    assert proj.shape == (d, r)
-    assert np.abs(proj.T @ proj - np.eye(r)).max() < 1e-12
-    assert np.all(spectrum[n:] == 0)
-
-
-def test_pca_r_too_large():
-    with pytest.raises(ValueError):
-        pca_top_r(np.zeros((5, 3)), 4)
-
-
-def test_pca_deterministic_signs():
-    rng = make_rng(13)
-    samples = rng.standard_normal((25, 4))
-    p1, _ = pca_top_r(samples, 3)
-    p2, _ = pca_top_r(samples.copy(), 3)
-    assert np.array_equal(p1, p2)
 
 
 # ---------------------------------------------------------------------------

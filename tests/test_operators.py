@@ -254,6 +254,15 @@ def test_ace_fit_deterministic():
     assert np.array_equal(a.sigmas, b.sigmas)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_ace_fit_psi_columns_have_a_positive_first_entry(seed):
+    # the sign convention: the first entry above 1e-12·max of each ψ column is > 0
+    psi = ace_fit(discrete_joint_random((9, 8, 3), seed=seed), k=3).psi
+    for col in psi.T:
+        first = col[np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]]
+        assert first > 0
+
+
 def test_ace_fit_k_out_of_range():
     joint = discrete_joint_random((3, 3), seed=13)
     with pytest.raises(ValueError):
