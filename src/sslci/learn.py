@@ -1,15 +1,14 @@
 """Two-step learning pipeline on two-view data.
 
 Step one regresses the second view on the first (the pretext task) to learn
-a representation ψ; step two fits a linear head from ψ(x1) to the label.
-Closed-form population representations are provided for the Gaussian and
-mixture models, alongside finite-sample least-squares fits and risk
-evaluation as the mean squared error, with no 1/2 factor.
+a representation ψ(x1) = B·x1; step two fits a linear head Ŵ from ψ(x1) to
+the label.  Each map is a plain float array: B is d2×d1, applied to rows as
+``x1 @ B.T``, and a head W maps features as ``features @ W``.  Closed forms
+for the Gaussian and mixture models sit beside the least-squares fits and
+the risk, a mean squared error with no 1/2 factor.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +16,6 @@ from .linalg import Array, CovarianceBlocks, _as_float, pinv, solve_psd
 from .models import MixtureSpec, _fit_width, mixture_posterior
 
 __all__ = [
-    "DownstreamFit",
-    "LinearRepresentation",
     "closed_form_f_gaussian",
     "closed_form_psi_gaussian",
     "closed_form_psi_mixture",
@@ -29,39 +26,14 @@ __all__ = [
     "optimal_downstream_map",
 ]
 
-@dataclass(frozen=True)
-class LinearRepresentation:
-    """Linear representation ψ(x) = B·x."""
 
-    b: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", _as_float(self.b))
-
-    def __call__(self, x) -> Array:
-        return _as_float(x) @ self.b.T
-
-
-@dataclass(frozen=True)
-class DownstreamFit:
-    """Linear head Ŵ mapping representation outputs to label space."""
-
-    w_hat: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "w_hat", _as_float(self.w_hat))
-
-    def predict(self, psi_x) -> Array:
-        return _as_float(psi_x) @ self.w_hat
-
-
-def closed_form_psi_gaussian(blocks: CovarianceBlocks) -> LinearRepresentation:
-    """Population representation B = Σ_{X2X1} Σ_{X1X1}⁻¹ as a linear map.
+def closed_form_psi_gaussian(blocks: CovarianceBlocks) -> Array:
+    """Population representation B = Σ_{X2X1} Σ_{X1X1}⁻¹ (shape d2×d1).
 
     A singular Σ_{X1X1} falls back to the pseudo-inverse, as in ``solve_psd``.
     """
     solved, _ = solve_psd(blocks.sigma_x1x1, blocks.sigma_x1x2)
-    return LinearRepresentation(b=solved.T)
+    return solved.T
 
 
 def closed_form_f_gaussian(blocks: CovarianceBlocks) -> Array:
@@ -121,30 +93,31 @@ def _checked_rows(a, b) -> tuple[Array, Array]:
     return a, b
 
 
-def fit_pretext_linear(x1_pre, x2) -> LinearRepresentation:
-    """Least-squares fit of the second view from the first.
+def fit_pretext_linear(x1_pre, x2) -> Array:
+    """Least-squares B (shape d2×d1) with x2 ≈ x1_pre·Bᵀ.
 
     Singular values of X1 at or below 1e-5·σ_max are dropped and Bᵀ is the
     minimum-norm solution on the kept directions, as from
     ``np.linalg.lstsq(x1_pre, x2, rcond=1e-5)``.
     """
-    return LinearRepresentation(b=_least_squares(*_checked_rows(x1_pre, x2)).T)
+    return _least_squares(*_checked_rows(x1_pre, x2)).T
 
 
-def fit_downstream(psi_x1, y) -> DownstreamFit:
-    """Least-squares linear head on representation outputs.
+def fit_downstream(psi_x1, y) -> Array:
+    """Least-squares head Ŵ (features × label dims) with y ≈ psi_x1·Ŵ.
 
     Singular values of the features F at or below 1e-5·σ_max are dropped
-    and W is the minimum-norm solution on the kept directions, as from
+    and Ŵ is the minimum-norm solution on the kept directions, as from
     ``np.linalg.lstsq(psi_x1, y, rcond=1e-5)``.
     """
-    return DownstreamFit(w_hat=_least_squares(*_checked_rows(psi_x1, y)))
+    return _least_squares(*_checked_rows(psi_x1, y))
 
 
-def mean_squared_error(fit: DownstreamFit, rep, f_star, eval_x1) -> float:
-    """Monte-Carlo E‖f*(x) − Ŵᵀψ(x)‖², no 1/2 factor, over the rows of ``eval_x1``;
-    ``rep`` and ``f_star`` map that n×d1 batch to features and to targets."""
-    x = _as_float(eval_x1)
-    pred = fit.predict(rep(x)).reshape(x.shape[0], -1)
+def mean_squared_error(w, features, f_star, eval_x1) -> float:
+    """Monte-Carlo E‖f*(x) − Wᵀψ(x)‖², no 1/2 factor, over the rows of ``eval_x1``;
+    ``features`` and ``f_star`` map that n×d1 batch to ψ(x) and to targets,
+    and the head ``w`` maps features as ``features(x) @ w``."""
+    w, x = _as_float(w), _as_float(eval_x1)
+    pred = (features(x) @ w).reshape(x.shape[0], -1)
     target = _as_float(f_star(x)).reshape(x.shape[0], -1)
     return float(((target - pred) ** 2).sum(axis=1).mean())

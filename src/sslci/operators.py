@@ -300,7 +300,7 @@ def apx_error_bound_eval(
     Returns ``(bound, actual)`` with
     bound = Σ_y 2(‖(T_k − L)g_y‖² + ‖L g_y − f*_y‖²)  (norms in L²(p(x1)))
     and actual = min_W E‖f*(X1) − Wᵀ[1, ψ(X1)]‖² by weighted least squares;
-    asserts actual ≤ bound up to 1e-8.  The weighted design
+    raises ``AssertionError`` unless actual ≤ bound + 1e-8.  The weighted design
     [√p(x1), √p(x1)·ψ] has orthonormal columns, so its normal equations
     are as accurate as an SVD solve.
     """
@@ -336,5 +336,7 @@ def apx_error_bound_eval(
     w = _least_squares(sw * features, sw * f_star)
     actual = float(((sw * (features @ w - f_star)) ** 2).sum())
     if actual > bound + 1e-8:
-        raise AssertionError("achieved error exceeds the bound")
+        raise AssertionError(
+            f"g_choice {g_choice!r}: achieved error {actual} exceeds the bound {bound}"
+        )
     return bound, actual

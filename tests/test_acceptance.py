@@ -68,7 +68,7 @@ def test_acceptance_1_exact_ci_zero_approximation_error():
         f_map = closed_form_f_gaussian(blocks)
         rep = closed_form_psi_gaussian(blocks)
         w_star = optimal_downstream_map(blocks)
-        residual = np.linalg.norm(f_map - w_star.T @ rep.b, "fro")
+        residual = np.linalg.norm(f_map - w_star.T @ rep, "fro")
         assert residual <= 1e-8
     budget.check()
 

@@ -427,8 +427,8 @@ def test_gaussian_n2_trial_matches_scores_on_three_full_samples():
         gaussian_ci_sample(spec, params[size], derive_seed(seed, sub))
         for sub, size in ((1, "n1"), (2, "n2"), (3, "eval_n"))
     )
-    star = closed_form_psi_gaussian(blocks)
-    heads = _fit_heads(pre, down.x1, down.y, star)
+    b_star = closed_form_psi_gaussian(blocks)
+    heads = _fit_heads(pre, down.x1, down.y, lambda x: x @ b_star.T)
     want = _eval_heads(heads, lambda x: x @ f_map.T, ev.x1)
     assert list(scores) == list(want) == ["psi", "psi-star", "raw-x1"]
     assert scores == want and eps == want_eps

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from sslci import (
     CovarianceBlocks,
-    DownstreamFit,
-    LinearRepresentation,
     MixtureSpec,
     closed_form_f_gaussian,
     closed_form_psi_gaussian,
@@ -46,29 +44,27 @@ def _scalar_blocks(s11, s12, s1y, s22, s2y, syy) -> CovarianceBlocks:
 
 def test_closed_form_psi_zero_cross():
     blocks = _scalar_blocks(2.0, 0.0, 0.0, 1.0, 0.0, 1.0)
-    rep = closed_form_psi_gaussian(blocks)
-    assert np.allclose(rep.b, 0.0)
+    assert np.allclose(closed_form_psi_gaussian(blocks), 0.0)
 
 
 def test_closed_form_psi_scalar():
     blocks = _scalar_blocks(2.0, 1.0, 0.5, 1.0, 0.3, 1.0)
-    rep = closed_form_psi_gaussian(blocks)
-    assert rep.b[0, 0] == pytest.approx(0.5)
+    assert closed_form_psi_gaussian(blocks)[0, 0] == pytest.approx(0.5)
 
 
 def test_closed_form_psi_well_conditioned_not_degenerate():
     blocks = gaussian_ci_population(random_gaussian_ci_spec(5, 4, 2, seed=3))
-    rep = closed_form_psi_gaussian(blocks)
+    b = closed_form_psi_gaussian(blocks)
     assert not solve_psd(blocks.sigma_x1x1, blocks.sigma_x1x2)[1]
     oracle = np.linalg.solve(blocks.sigma_x1x1, blocks.sigma_x1x2).T
-    assert np.allclose(rep.b, oracle, atol=1e-12)
+    assert np.allclose(b, oracle, atol=1e-12)
 
 
 def test_closed_form_psi_singular_flags_degenerate():
     blocks = _scalar_blocks(0.0, 0.0, 0.0, 1.0, 0.3, 1.0)
-    rep = closed_form_psi_gaussian(blocks)
+    b = closed_form_psi_gaussian(blocks)
     assert solve_psd(blocks.sigma_x1x1, blocks.sigma_x1x2)[1]
-    assert np.array_equal(rep.b, np.zeros((1, 1)))
+    assert np.array_equal(b, np.zeros((1, 1)))
 
 
 def test_closed_form_f_scalar():
@@ -101,9 +97,9 @@ def test_exact_ci_linear_identity():
         spec = random_gaussian_ci_spec(5, 4, 2, seed=seed)
         blocks = gaussian_ci_population(spec)
         f_map = closed_form_f_gaussian(blocks)
-        rep = closed_form_psi_gaussian(blocks)
+        b = closed_form_psi_gaussian(blocks)
         w_star = optimal_downstream_map(blocks)
-        assert np.linalg.norm(f_map - w_star.T @ rep.b, "fro") <= 1e-8
+        assert np.linalg.norm(f_map - w_star.T @ b, "fro") <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -188,22 +184,22 @@ def test_fit_pretext_recovers_realizable_map():
     rng = make_rng(6)
     c = rng.standard_normal((3, 5))
     x1 = rng.standard_normal((100, 5))
-    rep = fit_pretext_linear(x1, x1 @ c.T)
-    assert np.abs(rep.b - c).max() < 1e-8
+    b = fit_pretext_linear(x1, x1 @ c.T)
+    assert np.abs(b - c).max() < 1e-8
 
 
 def test_fit_pretext_zero_targets():
     rng = make_rng(7)
-    rep = fit_pretext_linear(rng.standard_normal((20, 3)), np.zeros((20, 2)))
-    assert np.abs(rep.b).max() < 1e-12
+    b = fit_pretext_linear(rng.standard_normal((20, 3)), np.zeros((20, 2)))
+    assert np.abs(b).max() < 1e-12
 
 
 def test_fit_pretext_residual_orthogonality():
     rng = make_rng(9)
     x1 = rng.standard_normal((60, 4))
     x2 = rng.standard_normal((60, 3))
-    rep = fit_pretext_linear(x1, x2)
-    residual = x2 - x1 @ rep.b.T
+    b = fit_pretext_linear(x1, x2)
+    residual = x2 - x1 @ b.T
     assert np.abs(x1.T @ residual).max() < 1e-8
 
 
@@ -211,24 +207,21 @@ def test_fit_downstream_recovers_weights():
     rng = make_rng(10)
     psi = rng.standard_normal((80, 4))
     w = rng.standard_normal((4, 2))
-    fit = fit_downstream(psi, psi @ w)
-    assert np.abs(fit.w_hat - w).max() < 1e-8
+    w_hat = fit_downstream(psi, psi @ w)
+    assert np.abs(w_hat - w).max() < 1e-8
 
 
-def test_linear_representation_stores_a_finite_float_array():
-    rep = LinearRepresentation(b=[[1.0, 2.0]])
-    assert isinstance(rep.b, np.ndarray) and rep.b.dtype == np.float64
-    np.testing.assert_array_equal(rep(np.ones((3, 2))), np.full((3, 1), 3.0))
-    with pytest.raises(ValueError, match="non-finite"):
-        LinearRepresentation(b=[[np.nan, 1.0]])
-
-
-def test_downstream_fit_stores_a_finite_float_array():
-    fit = DownstreamFit(w_hat=[[2.0]])
-    assert isinstance(fit.w_hat, np.ndarray) and fit.w_hat.dtype == np.float64
-    np.testing.assert_array_equal(fit.predict(np.ones((2, 1))), np.full((2, 1), 2.0))
-    with pytest.raises(ValueError, match="non-finite entries"):
-        DownstreamFit(w_hat=[[np.nan]])
+def test_learned_maps_are_float_arrays_of_the_paper_shapes():
+    # B is d2×d1 and a head Ŵ is features × k, also from integer or list input
+    rng = make_rng(11)
+    x1, x2, y = (rng.integers(-5, 6, (30, d)) for d in (4, 3, 2))
+    blocks = gaussian_ci_population(random_gaussian_ci_spec(5, 4, 2, seed=3))
+    for m, shape in (
+        (fit_pretext_linear(x1.tolist(), x2), (3, 4)),
+        (fit_downstream(x2, y.tolist()), (3, 2)),
+        (closed_form_psi_gaussian(blocks), (4, 5)),
+    ):
+        assert type(m) is np.ndarray and m.dtype == np.float64 and m.shape == shape
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +265,7 @@ def test_least_squares_predictions_match_lstsq_at_the_rank_cutoff(
 ):
     n, d = (small + extra, small) if tall else (small, small + extra + 1)
     a, b, kept = _design(n, d, log_kappa, seed)
-    w = fit_pretext_linear(a, b).b.T
+    w = fit_pretext_linear(a, b).T
     ref = np.linalg.lstsq(a, b, rcond=CUTOFF)[0]
     kappa = kept.max() / kept.min()
     tol = 64 * kappa**2 * EPS * np.linalg.norm(b)
@@ -297,7 +290,7 @@ def test_least_squares_is_the_minimum_norm_solution_on_duplicated_columns(
     kept = s[s > CUTOFF * s[0]]
     ref = np.linalg.lstsq(a, b, rcond=CUTOFF)[0]
     tol = 64 * (kept[0] / kept[-1]) ** 2 * EPS * np.linalg.norm(b) / kept[-1]
-    for w in (fit_pretext_linear(a, b).b.T, fit_downstream(a, b).w_hat):
+    for w in (fit_pretext_linear(a, b).T, fit_downstream(a, b)):
         assert np.abs(w - ref).max() <= tol
 
 
@@ -313,8 +306,8 @@ def test_least_squares_is_byte_equal_to_the_direct_solve_on_a_nonsingular_gram(n
     b = rng.standard_normal((n, 3))
     assume(not _singular(a.T @ a))
     want = np.linalg.solve(a.T @ a, a.T @ b)
-    assert fit_pretext_linear(a, b).b.T.tobytes() == want.tobytes()
-    assert fit_downstream(a, b).w_hat.tobytes() == want.tobytes()
+    assert fit_pretext_linear(a, b).T.tobytes() == want.tobytes()
+    assert fit_downstream(a, b).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -322,43 +315,62 @@ def test_least_squares_is_byte_equal_to_the_direct_solve_on_a_nonsingular_gram(n
 
 
 def test_excess_risk_zero_for_perfect_predictor():
-    rep = LinearRepresentation(b=np.eye(2))
-    fit = DownstreamFit(w_hat=np.eye(2))
     rng = make_rng(13)
     x = rng.standard_normal((50, 2))
-    assert mean_squared_error(fit, rep, lambda v: v, x) == pytest.approx(0.0, abs=1e-12)
+    value = mean_squared_error(np.eye(2), lambda v: v, lambda v: v, x)
+    assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_excess_risk_constant_target():
-    rep = LinearRepresentation(b=np.eye(2))
-    fit = DownstreamFit(w_hat=np.zeros((2, 3)))
     c = np.array([1.0, 2.0, 2.0])
     x = np.zeros((10, 2))
-    value = mean_squared_error(fit, rep, lambda v: np.tile(c, (len(v), 1)), x)
+    value = mean_squared_error(np.zeros((2, 3)), lambda v: v, lambda v: np.tile(c, (len(v), 1)), x)
     assert value == pytest.approx(c @ c)
 
 
 def test_excess_risk_population_head_exact_ci():
     spec = random_gaussian_ci_spec(4, 3, 2, seed=14)
     blocks = gaussian_ci_population(spec)
-    rep = closed_form_psi_gaussian(blocks)
+    b = closed_form_psi_gaussian(blocks)
     w_star = optimal_downstream_map(blocks)
     f_map = closed_form_f_gaussian(blocks)
-    fit = DownstreamFit(w_hat=w_star)
     rng = make_rng(15)
     x = rng.standard_normal((500, 4))
-    assert mean_squared_error(fit, rep, lambda v: v @ f_map.T, x) <= 2e-10
+    assert mean_squared_error(w_star, lambda v: v @ b.T, lambda v: v @ f_map.T, x) <= 2e-10
 
 
 def test_risk_with_one_dimensional_labels():
     x = make_rng(19).standard_normal((40, 3))
     w = np.array([1.0, -2.0, 0.5])
-    rep = LinearRepresentation(b=np.eye(3))
-    fit = fit_downstream(x, x @ w)
-    assert fit.w_hat.shape == (3,)
+    w_hat = fit_downstream(x, x @ w)
+    assert w_hat.shape == (3,)
 
     def shifted(v):
         return v @ w + 1.0
 
-    assert mean_squared_error(fit, rep, shifted, x) == pytest.approx(1.0)
-    assert mean_squared_error(fit, rep, shifted, x[:1]) == pytest.approx(1.0)
+    assert mean_squared_error(w_hat, lambda v: v, shifted, x) == pytest.approx(1.0)
+    assert mean_squared_error(w_hat, lambda v: v, shifted, x[:1]) == pytest.approx(1.0)
+
+
+def test_mean_squared_error_matches_a_hand_computed_value():
+    # ψ(x) = (x1 + x2, x1), W = [[1, 0], [0, 2]], f*(x) = (x2, x1 − x2):
+    # x = (1, 2) predicts (3, 2) against (2, −1): 1 + 9 = 10;
+    # x = (0, −1) predicts (−1, 0) against (−1, 1): 0 + 1 = 1; mean 5.5
+    x = np.array([[1.0, 2.0], [0.0, -1.0]])
+    w = np.array([[1.0, 0.0], [0.0, 2.0]])
+
+    def features(v):
+        return np.stack([v[:, 0] + v[:, 1], v[:, 0]], axis=1)
+
+    def f_star(v):
+        return np.stack([v[:, 1], v[:, 0] - v[:, 1]], axis=1)
+
+    assert mean_squared_error(w, features, f_star, x) == 5.5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mean_squared_error_rejects_a_head_that_is_not_finite(bad):
+    x = np.ones((4, 2))
+    w = np.array([[1.0], [bad]])
+    with pytest.raises(ValueError, match="non-finite entries"):
+        mean_squared_error(w, lambda v: v, lambda v: v[:, :1], x)

@@ -1,6 +1,7 @@
 """Density-ratio operators, the alternating solver, and the error bound."""
 
 import dataclasses
+import re
 import tracemalloc
 from functools import partial
 
@@ -457,6 +458,23 @@ def test_apx_bound_rejects_bad_witness_name():
     sol = ace_fit(joint, k=2)
     with pytest.raises(ValueError):
         apx_error_bound_eval(sol, joint, "nonsense")
+
+
+def test_apx_bound_violation_names_the_witness_and_both_errors(monkeypatch):
+    joint = discrete_joint_random((7, 6, 3), seed=4)
+    sol = ace_fit(joint, k=2)
+    bounds = {g: apx_error_bound_eval(sol, joint, g)[0] for g in ("pinv_of_A", "bayes_indicator")}
+    solve = operators._least_squares
+    monkeypatch.setattr(operators, "_least_squares", lambda a, b: np.zeros_like(solve(a, b)))
+    for g_choice, bound in bounds.items():  # a head of zeros still meets the bound
+        assert apx_error_bound_eval(sol, joint, g_choice)[0] == bound
+    monkeypatch.setattr(operators, "_least_squares", lambda a, b: solve(a, b) + 1.0)
+    for g_choice, bound in bounds.items():
+        with pytest.raises(AssertionError) as info:
+            apx_error_bound_eval(sol, joint, g_choice)
+        pattern = rf"g_choice '{g_choice}': achieved error (\S+) exceeds the bound (\S+)"
+        actual, named_bound = map(float, re.fullmatch(pattern, str(info.value)).groups())
+        assert named_bound == bound and actual > bound + 1e-8
 
 
 def test_apx_bound_requires_label():

@@ -58,11 +58,13 @@ def _names_read(path: Path) -> set[str]:
 
 
 def test_every_exported_function_has_a_reader():
-    # a reader is library code or the benchmark; the tests alone do not count
+    # functions and classes; a reader is library code or the benchmark, and
+    # the tests alone do not count
     library = [f for f in SRC.joinpath("sslci").glob("*.py") if f.name != "__init__.py"]
     read = set().union(*map(_names_read, library + [*README.parent.glob("perfbench/*.py")]))
-    functions = {name for name in sslci.__all__ if inspect.isfunction(getattr(sslci, name))}
-    assert sorted(functions - read) == []
+    kinds = (inspect.isfunction, inspect.isclass)
+    exported = {n for n in sslci.__all__ if any(kind(getattr(sslci, n)) for kind in kinds)}
+    assert sorted(exported - read) == []
 
 
 def test_library_has_no_assert_statement():
