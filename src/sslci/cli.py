@@ -10,8 +10,9 @@ Subcommands:
   wall time; nonzero exit on any failure.
 - ``sslci ace --joint FILE [--k K]``: operator diagnostics for a discrete
   joint given as a text file (header "x1_size x2_size y_size", then
-  probabilities in x1-major order); ``--k`` (default 3, at least 1) is the
-  number of ACE function pairs.
+  probabilities in x1-major order; each view has at least 2 points);
+  ``--k`` (default 3, at least 1) is the number of ACE function pairs,
+  clamped to min(|X1|, |X2|) − 1.
 - ``sslci topic --spec FILE``: exact verification of a finite-prior topic
   model described by a key=value file.
 
@@ -55,6 +56,8 @@ def read_joint_file(path: str | Path) -> DiscreteJoint:
     n1, n2, ny = (int(t) for t in tokens[:3])
     if min(n1, n2, ny) < 0:
         raise ValueError(f"negative size in joint file header: {n1} {n2} {ny}")
+    if min(n1, n2) < 1:
+        raise ValueError(f"empty view in joint file header: {n1} {n2} {ny}")
     values = np.asarray([float(t) for t in tokens[3:]])
     shape = (n1, n2, ny) if ny > 0 else (n1, n2)
     expected = int(np.prod(shape))
@@ -135,9 +138,12 @@ def _cmd_ace(args) -> int:
     if args.k < 1:
         raise ValueError(f"--k must be >= 1, got {args.k}")
     joint = read_joint_file(args.joint)
+    n1, n2 = joint.p.shape[:2]
+    if min(n1, n2) < 2:
+        raise ValueError(f"ace needs at least 2 points per view, got |X1| = {n1}, |X2| = {n2}")
     svals = np.linalg.svd(build_operator_t(joint), compute_uv=False)
     print("weighted singular values:", " ".join(f"{s:.6f}" for s in svals[:8]))
-    k = min(args.k, min(joint.p.shape[:2]) - 1)
+    k = min(args.k, min(n1, n2) - 1)
     solution = ace_fit(joint, k=k)
     print(
         f"ace sigmas (k={k}):",

@@ -13,17 +13,9 @@ from collections.abc import Container, Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config_file"]
+from .harness import EXPERIMENTS
 
-EXPERIMENTS = (
-    "mse-vs-k",
-    "mse-vs-eps",
-    "mse-vs-n2",
-    "exact-ci-gaussian",
-    "ace-demo",
-    "topic-check",
-    "ci-report",
-)
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config_file"]
 
 
 class ConfigError(ValueError):

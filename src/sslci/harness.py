@@ -1,6 +1,6 @@
 """Experiment runner: seeded trials, CSV output, optional SVG plots.
 
-An experiment is one row of a table: the config field holding its grid
+An experiment is one row of ``EXPERIMENTS``: the config field holding its grid
 (label dimension, interpolation coefficient, or downstream sample size;
 single-point experiments use the grid ``(0.0,)``) and a trial function.
 Every trial takes the config's fields as keywords, ignoring those it does
@@ -25,10 +25,10 @@ import warnings
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import cache, partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import ExperimentConfig
 from .independence import eps_ci_linear, eps_ci_linear_from_data
 from .learn import (
     closed_form_f_gaussian,
@@ -61,6 +61,9 @@ from .operators import (
     maximal_correlation,
 )
 from .topics import random_topic_spec, verify_latent_construction
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 __all__ = ["RunResult", "TrialRow", "run", "selfcheck_checks", "write_line_plot_svg"]
 
@@ -192,10 +195,7 @@ def _ci_report_trial(*, k, d1, d2, alpha, eval_n, seed, **_):
     return {"eps-ci": eps}, eps
 
 
-#: experiment -> (config field holding the grid, or None for the single
-#: point 0.0; trial function called as the module docstring says).  Keys
-#: follow ``config.EXPERIMENTS``.
-_EXPERIMENTS = {
+EXPERIMENTS = {
     "mse-vs-k": ("k_grid", _mixture_trial),
     "mse-vs-eps": ("alpha_grid", _mixture_trial),
     "mse-vs-n2": ("n2_grid", _gaussian_n2_trial),
@@ -207,13 +207,13 @@ _EXPERIMENTS = {
 
 
 def _grid(config: ExperimentConfig) -> tuple:
-    grid_field = _EXPERIMENTS[config.experiment][0]
+    grid_field = EXPERIMENTS[config.experiment][0]
     return getattr(config, grid_field) if grid_field else (0.0,)
 
 
 def _trial_rows(config: ExperimentConfig, gi: int, trial: int) -> list[TrialRow]:
     """Trial ``trial`` at grid index ``gi``; a ``LinAlgError`` gives one NaN row."""
-    grid_field, trial_fn = _EXPERIMENTS[config.experiment]
+    grid_field, trial_fn = EXPERIMENTS[config.experiment]
     value = _grid(config)[gi]
     seed = derive_seed(config.seed, gi, trial)
     params = {**asdict(config), "seed": seed}

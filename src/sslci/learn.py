@@ -59,10 +59,11 @@ def closed_form_psi_mixture(spec: MixtureSpec, x1) -> Array:
     The second view is X2 = (1 − α)·(centers2[y] + z) + α·pad(x1), with the
     noise z independent of (x1, y) and pad the zero-padding or truncation of
     x1 to d2 coordinates, so ψ*(x1) = (1 − α)·Σ_y P(y|x1)·centers2[y] +
-    α·pad(x1).  Accepts a single d1-vector or an n×d1 batch.
+    α·pad(x1).  Takes an n×d1 batch, as ``mixture_posterior`` does.
     """
-    psi = mixture_posterior(spec, x1) @ ((1.0 - spec.alpha) * spec.centers2)
-    psi += spec.alpha * _fit_width(np.atleast_2d(x1), spec.d2).reshape(psi.shape)
+    x = np.asarray(x1)
+    psi = mixture_posterior(spec, x) @ ((1.0 - spec.alpha) * spec.centers2)
+    psi += spec.alpha * _fit_width(x, spec.d2)
     return psi
 
 

@@ -248,19 +248,18 @@ def mixture_sample(spec: MixtureSpec, n: int, seed: int) -> LabeledDataset:
 def mixture_posterior(spec: MixtureSpec, x1) -> Array:
     """Class posterior P(y | x1) under the unit-covariance mixture.
 
-    Accepts a single d1-vector or an n×d1 batch; rows sum to one.  Uses the
-    GEMM form x·c − ½‖c‖² of the Gaussian log-densities: the dropped −½‖x‖²
-    is constant per row and cancels in the max-subtraction that keeps the
-    softmax stable, so no n×k×d1 difference tensor is built.
+    Takes an n×d1 batch; rows sum to one.  Uses the GEMM form x·c − ½‖c‖²
+    of the Gaussian log-densities: the dropped −½‖x‖² is constant per row
+    and cancels in the max-subtraction that keeps the softmax stable, so no
+    n×k×d1 difference tensor is built.
     """
     x = _as_float(x1)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
+    if x.ndim != 2:
+        raise ValueError(f"x1 must be an n×d1 batch, got shape {x.shape}")
     centers = spec.centers1
     logd = x @ centers.T
     logd -= 0.5 * np.einsum("kd,kd->k", centers, centers)
-    post = _softmax_rows(logd)
-    return post[0] if single else post
+    return _softmax_rows(logd)
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,13 @@ import pytest
 import sslci
 from sslci.cli import main, read_joint_file, read_topic_spec_file
 from sslci.config import (
-    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     load_config,
     parse_config_file,
 )
 from sslci.harness import (
-    _EXPERIMENTS,
+    EXPERIMENTS,
     TrialRow,
     _eval_heads,
     _experiment_rows,
@@ -382,13 +381,12 @@ TINY = dict(
 
 
 def test_experiment_table_matches_config_names():
-    assert tuple(_EXPERIMENTS) == EXPERIMENTS
-    assert tuple(TABLE_METHODS) == EXPERIMENTS
+    assert tuple(TABLE_METHODS) == tuple(EXPERIMENTS)
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_experiment_table_entry(tmp_path, experiment):
-    grid_field, _ = _EXPERIMENTS[experiment]
+    grid_field, _ = EXPERIMENTS[experiment]
     grid = TINY[grid_field] if grid_field else (0.0,)
     methods = TABLE_METHODS[experiment]
     outputs = []
@@ -411,7 +409,7 @@ def test_experiment_table_entry(tmp_path, experiment):
 
 def test_grid_fields_name_the_field_their_value_replaces():
     names = {f.name for f in fields(ExperimentConfig)}
-    gridded = [grid_field for grid_field, _ in _EXPERIMENTS.values() if grid_field]
+    gridded = [grid_field for grid_field, _ in EXPERIMENTS.values() if grid_field]
     assert gridded
     for grid_field in gridded:
         assert grid_field.endswith("_grid")
@@ -467,7 +465,7 @@ def test_singular_trial_gives_one_degenerate_row(monkeypatch, experiment, solver
 
     monkeypatch.setattr(f"sslci.harness.{solver}", singular)
     rows = _experiment_rows(ExperimentConfig(experiment=experiment, **TINY))
-    grid_field, _ = _EXPERIMENTS[experiment]
+    grid_field, _ = EXPERIMENTS[experiment]
     grid = TINY[grid_field] if grid_field else (0.0,)
     points = [(float(value), trial) for value in grid for trial in range(TINY["trials"])]
     assert [(row.grid_value, row.trial) for row in rows] == points
@@ -498,7 +496,7 @@ def test_singular_trial_warns_with_its_message(monkeypatch):
 @pytest.mark.parametrize("experiment", ["mse-vs-k", "ci-report"])
 def test_trial_rows_do_not_depend_on_trial_order(experiment):
     config = ExperimentConfig(experiment=experiment, **TINY)
-    grid_field, _ = _EXPERIMENTS[experiment]
+    grid_field, _ = EXPERIMENTS[experiment]
     grid = range(len(TINY[grid_field]))
     points = [(gi, trial) for gi in grid for trial in range(TINY["trials"])]
     reversed_rows = {point: _trial_rows(config, *point) for point in reversed(points)}
@@ -849,6 +847,28 @@ def test_cli_ace_rejects_k_below_one_before_any_output(tmp_path, capsys):
     assert main(["ace", "--joint", joint, "--k", "0"]) == 2
     captured = capsys.readouterr()
     assert "--k" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("1 3 2", "|X1| = 1, |X2| = 3"),
+        ("3 1 2", "|X1| = 3, |X2| = 1"),
+        ("0 3 2", "empty view in joint file header: 0 3 2"),
+        ("3 0 0", "empty view in joint file header: 3 0 0"),
+    ],
+)
+def test_cli_ace_rejects_a_view_below_two_points_before_any_output(
+    tmp_path, capsys, header, message
+):
+    n1, n2, ny = (int(t) for t in header.split())
+    size = n1 * n2 * max(ny, 1)
+    probs = " ".join([str(1.0 / size)] * size) if size else ""
+    joint = _write(tmp_path, "j.txt", f"{header}\n{probs}\n")
+    assert main(["ace", "--joint", joint]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
     assert captured.out == ""
 
 

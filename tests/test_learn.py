@@ -1,5 +1,7 @@
 """Two-step pipeline: closed forms, finite-sample fits, risk evaluation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -112,8 +114,8 @@ def test_mixture_psi_one_hot_posterior_returns_center():
         centers2=np.array([[1.0, 2.0], [3.0, 4.0]]),
         alpha=0.0,
     )
-    psi = closed_form_psi_mixture(spec, np.array([0.0]))
-    assert np.allclose(psi, [1.0, 2.0], atol=1e-10)
+    psi = closed_form_psi_mixture(spec, np.array([[0.0]]))
+    assert np.allclose(psi, [[1.0, 2.0]], atol=1e-10)
 
 
 def test_mixture_psi_equidistant_average():
@@ -122,8 +124,8 @@ def test_mixture_psi_equidistant_average():
         centers2=np.array([[1.0, 0.0], [0.0, 1.0]]),
         alpha=0.0,
     )
-    psi = closed_form_psi_mixture(spec, np.array([1.0, 5.0]))
-    assert np.allclose(psi, [0.5, 0.5], atol=1e-12)
+    psi = closed_form_psi_mixture(spec, np.array([[1.0, 5.0]]))
+    assert np.allclose(psi, [[0.5, 0.5]], atol=1e-12)
 
 
 def test_mixture_psi_matches_kernel_conditional_mean():
@@ -134,7 +136,7 @@ def test_mixture_psi_matches_kernel_conditional_mean():
     bandwidth = 0.25
     w = np.exp(-0.5 * np.sum((data.x1 - probe) ** 2, axis=1) / bandwidth**2)
     oracle = (w[:, None] * data.x2).sum(axis=0) / w.sum()
-    psi = closed_form_psi_mixture(spec, probe)
+    psi = closed_form_psi_mixture(spec, probe[None, :])[0]
     # kernel smoothing has O(bandwidth^2) bias; tolerance is loose
     assert np.abs(psi - oracle).max() < 0.2
 
@@ -147,7 +149,13 @@ def test_mixture_psi_at_alpha_one_is_the_fitted_first_view(d1, d2):
     padded = np.zeros((50, d2))
     padded[:, :width] = x1[:, :width]
     assert np.array_equal(closed_form_psi_mixture(spec, x1), padded)
-    assert np.array_equal(closed_form_psi_mixture(spec, x1[4]), padded[4])
+    assert np.array_equal(closed_form_psi_mixture(spec, x1[4:5]), padded[4:5])
+
+
+def test_mixture_psi_takes_only_a_batch():
+    spec = random_mixture_spec(3, 4, 6, alpha=0.5, seed=21)
+    with pytest.raises(ValueError, match=re.escape("got shape (4,)")):
+        closed_form_psi_mixture(spec, [0.0, 1.0, 2.0, 3.0])
 
 
 def test_mixture_psi_residual_is_uncorrelated_with_x1_at_half_alpha():

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -181,10 +182,10 @@ def test_mixture_posterior_symmetry_and_concentration():
     centers1 = np.array([[0.0, 0.0], [4.0, 0.0]])
     centers2 = np.array([[1.0], [2.0]])
     spec = MixtureSpec(centers1=centers1, centers2=centers2, alpha=0.0)
-    midpoint = np.array([2.0, 0.0])
-    assert np.allclose(mixture_posterior(spec, midpoint), [0.5, 0.5], atol=1e-12)
-    at_center = mixture_posterior(spec, np.array([0.0, 0.0]))
-    assert at_center[0] > 0.99
+    midpoint = np.array([[2.0, 0.0]])
+    assert np.allclose(mixture_posterior(spec, midpoint), [[0.5, 0.5]], atol=1e-12)
+    at_center = mixture_posterior(spec, np.array([[0.0, 0.0]]))
+    assert at_center[0, 0] > 0.99
 
 
 def test_mixture_posterior_matches_density_ratio_oracle():
@@ -195,7 +196,7 @@ def test_mixture_posterior_matches_density_ratio_oracle():
         [np.exp(-0.5 * np.sum((x - c) ** 2)) for c in spec.centers1], dtype=np.float64
     )
     oracle = dens / dens.sum()
-    assert np.allclose(mixture_posterior(spec, x), oracle, atol=1e-12)
+    assert np.allclose(mixture_posterior(spec, x[None, :]), [oracle], atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -237,15 +238,11 @@ def test_mixture_posterior_matches_tensor_form_on_overlapping_centers():
     assert worst <= 1e-12
 
 
-def test_mixture_posterior_single_vector_matches_batch_row():
-    rng = make_rng(41)
-    spec = _overlapping_mixture(16, 50, rng)
-    x = 3.0 * rng.standard_normal((20, 50))
-    batch = mixture_posterior(spec, x)
-    for i in range(x.shape[0]):
-        single = mixture_posterior(spec, x[i])
-        assert single.shape == (16,)
-        assert np.abs(single - batch[i]).max() <= 1e-14
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 3)], ids=["vector", "3-axis"])
+def test_mixture_posterior_takes_only_a_batch(shape):
+    spec = random_mixture_spec(2, 3, 2, alpha=0.5, seed=41)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        mixture_posterior(spec, np.zeros(shape))
 
 
 def test_mixture_posterior_builds_no_difference_tensor():

@@ -105,6 +105,17 @@ def test_import_leaves_concurrent_futures_and_logging_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("first", ["sslci.config", "sslci.harness"])
+def test_harness_does_not_import_config(first):
+    # config validates experiment names against harness.EXPERIMENTS, so the
+    # dependency must run one way: a runtime import back would be a cycle
+    code = f"import sys, {first}; print('sslci.config' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=ENV
+    )
+    assert out.stdout.strip() == str(first == "sslci.config")
+
+
 def test_import_leaves_scipy_unloaded():
     code = "import sys, sslci; print(sorted(m for m in sys.modules if m[:5] == 'scipy'))"
     out = subprocess.run(
