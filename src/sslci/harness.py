@@ -92,14 +92,18 @@ class RunResult:
 
 
 def _fit_heads(pre, down_x1, down_y, star) -> dict:
-    """{method: (features, head Ŵ)} for ψ̂ (fit on ``pre``), ψ* and raw x1 features."""
-    b = fit_pretext_linear(pre.x1, pre.x2)
-    feature_maps = (("psi", lambda x: x @ b.T), ("psi-star", star), ("raw-x1", lambda x: x))
-    return {m: (f, fit_downstream(f(down_x1), down_y)) for m, f in feature_maps}
+    """{method: (features, head)} for ψ̂ (B̂ fit on ``pre``), ψ* (``star``) and raw x1.  A
+    linear map B (B̂, or a d2×d1 array ``star`` such as B*) fits Ŵ on ``down_x1 @ B.T`` and
+    gives the composed d1×k head BᵀŴ on identity features; a callable keeps its features."""
+    heads, same = {}, lambda x: x
+    for m, f in (("psi", fit_pretext_linear(pre.x1, pre.x2)), ("psi-star", star), ("raw-x1", same)):
+        w = fit_downstream(f(down_x1) if callable(f) else down_x1 @ f.T, down_y)
+        heads[m] = (f, w) if callable(f) else (same, f.T @ w)
+    return heads
 
 
 def _eval_heads(heads, target, ev_x1) -> dict[str, float]:
-    """MSE vs ``target`` on ``ev_x1`` of each ``_fit_heads`` head."""
+    """MSE vs ``target`` of each ``_fit_heads`` head, scored as ``features(ev_x1) @ head``."""
     return {m: mean_squared_error(w, f, target, ev_x1) for m, (f, w) in heads.items()}
 
 
@@ -158,7 +162,7 @@ def _gaussian_n2_trial(*, d1, d2, k, n1, n2, eval_n, seed, **_):
         pre = gaussian_ci_sample(spec, n1, derive_seed(seed, 1))
         b_star = closed_form_psi_gaussian(blocks)
         down_y, down_x1 = down.result()
-        heads = _fit_heads(pre, down_x1, down_y, lambda x: x @ b_star.T)
+        heads = _fit_heads(pre, down_x1, down_y, b_star)
         return _eval_heads(heads, lambda x: x @ f_map.T, ev.result()[1]), eps
 
 

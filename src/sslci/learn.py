@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import Array, CovarianceBlocks, _as_float, pinv, solve_psd
-from .models import MixtureSpec, _fit_width, mixture_posterior
+from .models import MixtureSpec, mixture_posterior
 
 __all__ = [
     "closed_form_f_gaussian",
@@ -59,11 +59,13 @@ def closed_form_psi_mixture(spec: MixtureSpec, x1) -> Array:
     The second view is X2 = (1 − α)·(centers2[y] + z) + α·pad(x1), with the
     noise z independent of (x1, y) and pad the zero-padding or truncation of
     x1 to d2 coordinates, so ψ*(x1) = (1 − α)·Σ_y P(y|x1)·centers2[y] +
-    α·pad(x1).  Takes an n×d1 batch, as ``mixture_posterior`` does.
+    α·pad(x1).  Takes an n×d1 batch, as ``mixture_posterior`` does.  α·x1 is
+    added in place, to min(d1, d2) columns and not at α = 0: no n×d2 copy.
     """
     x = np.asarray(x1)
     psi = mixture_posterior(spec, x) @ ((1.0 - spec.alpha) * spec.centers2)
-    psi += spec.alpha * _fit_width(x, spec.d2)
+    if spec.alpha:  # slices clamp to min(d1, d2) columns; pad's zeros would add +0.0
+        psi[:, : spec.d1] += spec.alpha * x[:, : spec.d2]
     return psi
 
 

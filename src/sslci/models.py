@@ -224,11 +224,12 @@ def _fit_width(x: Array, d: int) -> Array:
 
 
 def _mixture_x2(spec: MixtureSpec, labels: Array, x1: Array, rng) -> Array:
-    """(1−α)·(centers2[y] + z) + α·fit(x1), with z drawn last; in place, same op order."""
+    """centers2[y] + z, z drawn last, then ·(1−α) and + α·fit(x1) in place, unless α = 0."""
     x2, noise = spec.centers2[labels], rng.standard_normal((labels.size, spec.d2))
     x2 += noise
-    x2 *= 1.0 - spec.alpha
-    x2 += np.multiply(spec.alpha, _fit_width(x1, spec.d2), out=noise)
+    if spec.alpha:  # at α = 0 these steps would only multiply by 1 and add ±0
+        x2 *= 1.0 - spec.alpha
+        x2 += np.multiply(spec.alpha, _fit_width(x1, spec.d2), out=noise)
     return x2
 
 

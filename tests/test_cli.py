@@ -8,6 +8,7 @@ import threading
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +38,20 @@ from sslci.harness import (
     summarize,
     write_line_plot_svg,
 )
-from sslci.learn import closed_form_psi_gaussian
-from sslci.models import derive_seed, gaussian_ci_sample
+from sslci.learn import (
+    closed_form_psi_gaussian,
+    closed_form_psi_mixture,
+    fit_downstream,
+    fit_pretext_linear,
+    mean_squared_error,
+)
+from sslci.models import (
+    derive_seed,
+    gaussian_ci_sample,
+    mixture_posterior,
+    mixture_sample,
+    random_mixture_spec,
+)
 
 JOINT_CI = """3 3 2
 0.05 0.05 0.05 0.05 0.10 0.05 0.05 0.05 0.10
@@ -426,10 +439,55 @@ def test_gaussian_n2_trial_matches_scores_on_three_full_samples():
         for sub, size in ((1, "n1"), (2, "n2"), (3, "eval_n"))
     )
     b_star = closed_form_psi_gaussian(blocks)
-    heads = _fit_heads(pre, down.x1, down.y, lambda x: x @ b_star.T)
+    heads = _fit_heads(pre, down.x1, down.y, b_star)
     want = _eval_heads(heads, lambda x: x @ f_map.T, ev.x1)
     assert list(scores) == list(want) == ["psi", "psi-star", "raw-x1"]
     assert scores == want and eps == want_eps
+
+
+def _two_step_scores(pre, down, star, target, ev_x1) -> dict[str, float]:
+    """Each head scored as ``features(x) @ Ŵ``, with ψ̂ and an array ψ* as feature maps."""
+    b = fit_pretext_linear(pre.x1, pre.x2)
+    maps = {
+        "psi": lambda x: x @ b.T,
+        "psi-star": star if callable(star) else lambda x: x @ star.T,
+        "raw-x1": lambda x: x,
+    }
+    return {
+        m: mean_squared_error(fit_downstream(f(down.x1), down.y), f, target, ev_x1)
+        for m, f in maps.items()
+    }
+
+
+@pytest.mark.parametrize("model", ["mixture", "gaussian"])
+def test_composed_heads_score_as_the_two_step_pipeline(model):
+    sizes = dict(n1=300, n2=80, eval_n=500)
+    seed = derive_seed(7, 1, 2)
+    if model == "mixture":
+        k, spec = 3, random_mixture_spec(3, 6, 5, 0.25, derive_seed(seed, 11))
+        draw = mixture_sample
+        star, target = partial(closed_form_psi_mixture, spec), partial(mixture_posterior, spec)
+        scores, _ = _mixture_trial(d1=6, d2=5, k=k, alpha=0.25, **sizes, seed=seed)
+        star_shape = (5, k)  # the mixture ψ* is a callable: its head stays d2×k
+    else:
+        k, (spec, blocks, f_map, _) = 2, _gaussian_population(6, 5, 2, derive_seed(seed, 11))
+        draw = gaussian_ci_sample
+        star, target = closed_form_psi_gaussian(blocks), lambda x: x @ f_map.T
+        scores, _ = _gaussian_n2_trial(d1=6, d2=5, k=k, **sizes, seed=seed)
+        star_shape = (6, k)  # B* is an array: its head is the composed d1×k map
+    pre, down, ev = (
+        draw(spec, sizes[size], derive_seed(seed, sub))
+        for sub, size in ((1, "n1"), (2, "n2"), (3, "eval_n"))
+    )
+    heads = _fit_heads(pre, down.x1, down.y, star)
+    shapes = {m: w.shape for m, (_, w) in heads.items()}
+    assert shapes == {"psi": (6, k), "psi-star": star_shape, "raw-x1": (6, k)}
+    composed = _eval_heads(heads, target, ev.x1)
+    assert scores == composed
+    two_step = _two_step_scores(pre, down, star, target, ev.x1)
+    assert list(two_step) == list(composed)
+    for m, want in two_step.items():
+        assert abs(composed[m] - want) <= 1e-12 * want, m
 
 
 def test_experiment_rows_match_direct_trial_calls():

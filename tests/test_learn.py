@@ -26,7 +26,7 @@ from sslci import (
 )
 from sslci.learn import mixture_two_class_target
 from sslci.linalg import _singular, solve_psd
-from sslci.models import make_rng
+from sslci.models import _fit_width, make_rng
 
 
 def _scalar_blocks(s11, s12, s1y, s22, s2y, syy) -> CovarianceBlocks:
@@ -150,6 +150,25 @@ def test_mixture_psi_at_alpha_one_is_the_fitted_first_view(d1, d2):
     padded[:, :width] = x1[:, :width]
     assert np.array_equal(closed_form_psi_mixture(spec, x1), padded)
     assert np.array_equal(closed_form_psi_mixture(spec, x1[4:5]), padded[4:5])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("d1, d2", [(3, 5), (5, 3)], ids=["pad", "truncate"])
+def test_mixture_alpha_terms_are_bit_equal_to_the_padded_formula(d1, d2, alpha):
+    spec = random_mixture_spec(3, d1, d2, alpha, seed=31)
+    x1 = make_rng(32).standard_normal((60, d1))
+    want = mixture_posterior(spec, x1) @ ((1.0 - alpha) * spec.centers2)
+    want = want + alpha * _fit_width(x1, d2)
+    assert closed_form_psi_mixture(spec, x1).tobytes() == want.tobytes()
+    # the sample's x2 against the formula drawn from the same generator state
+    rng = make_rng(33)
+    labels = rng.integers(0, spec.k, size=60)
+    first = spec.centers1[labels] + rng.standard_normal((60, d1))
+    noise = rng.standard_normal((60, d2))
+    want = (1.0 - alpha) * (spec.centers2[labels] + noise) + alpha * _fit_width(first, d2)
+    data = mixture_sample(spec, 60, seed=33)
+    assert data.x1.tobytes() == first.tobytes()
+    assert data.x2.tobytes() == want.tobytes()
 
 
 def test_mixture_psi_takes_only_a_batch():
