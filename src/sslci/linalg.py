@@ -79,11 +79,12 @@ def _symmetrized(mat: Array, what: str) -> Array:
     return (mat + mat.T) / 2.0
 
 
-def _softmax_rows(z: Array) -> Array:
-    """Softmax of each row of a 2-d float array, computed in place."""
-    z -= z.max(axis=1, keepdims=True)
+def _softmax_columns(z: Array) -> Array:
+    """Softmax of each column of a 2-d float array, in place; returns ``z``.  On a
+    C-ordered k×n array each reduction is k vectorised passes over n-long rows."""
+    z -= z.max(axis=0)
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= z.sum(axis=0)
     return z
 
 
@@ -113,13 +114,11 @@ def empirical_cov(samples_a, samples_b, center: bool = True) -> Array:
         data or raw second moments.
     """
     a = _as_float(samples_a)
-    b = _as_float(samples_b)
+    b = a if samples_b is samples_a else _as_float(samples_b)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("sample matrices must be 2-d")
     if a.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"row counts differ: {a.shape[0]} vs {b.shape[0]}"
-        )
+        raise ValueError(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
     n = a.shape[0]
     if n < 1:
         raise ValueError("need at least one sample")

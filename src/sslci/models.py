@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOL, Array, CovarianceBlocks, _as_float, _softmax_rows
+from .linalg import DEFAULT_RANK_TOL, Array, CovarianceBlocks, _as_float, _softmax_columns
 from .linalg import _store_float_fields, _symmetrized
 
 __all__ = [
@@ -240,7 +240,8 @@ def mixture_sample(spec: MixtureSpec, n: int, seed: int) -> LabeledDataset:
         raise ValueError("n must be >= 1")
     rng = make_rng(seed)
     labels = rng.integers(0, spec.k, size=n)
-    x1 = spec.centers1[labels] + rng.standard_normal((n, spec.d1))
+    x1 = rng.standard_normal((n, spec.d1))
+    x1 += spec.centers1[labels]
     x1.setflags(write=False)
     x2 = _Deferred(lambda: _mixture_x2(spec, labels, x1, rng))
     return LabeledDataset(x1=x1, x2=x2, y=np.eye(spec.k)[labels])
@@ -249,18 +250,18 @@ def mixture_sample(spec: MixtureSpec, n: int, seed: int) -> LabeledDataset:
 def mixture_posterior(spec: MixtureSpec, x1) -> Array:
     """Class posterior P(y | x1) under the unit-covariance mixture.
 
-    Takes an n×d1 batch; rows sum to one.  Uses the GEMM form x·c − ½‖c‖²
-    of the Gaussian log-densities: the dropped −½‖x‖² is constant per row
-    and cancels in the max-subtraction that keeps the softmax stable, so no
-    n×k×d1 difference tensor is built.
+    Takes an n×d1 batch; rows sum to one.  Builds k×n log-densities in the GEMM
+    form C·xᵀ − ½‖c‖²: the dropped −½‖x‖² is constant per column and cancels
+    in the softmax's max-subtraction, so no n×k×d1 difference tensor is built.
+    Returns their F-ordered n×k transpose: no caller may assume C order.
     """
     x = _as_float(x1)
     if x.ndim != 2:
         raise ValueError(f"x1 must be an n×d1 batch, got shape {x.shape}")
     centers = spec.centers1
-    logd = x @ centers.T
-    logd -= 0.5 * np.einsum("kd,kd->k", centers, centers)
-    return _softmax_rows(logd)
+    logd = centers @ x.T
+    logd -= 0.5 * np.einsum("kd,kd->k", centers, centers)[:, None]
+    return _softmax_columns(logd).T
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .independence import beta_inv
-from .linalg import Array, _softmax_rows, _store_float_fields
+from .linalg import Array, _softmax_columns, _store_float_fields
 from .models import LabeledDataset, make_rng
 
 __all__ = [
@@ -277,6 +277,6 @@ def sample_documents(spec: TopicModelSpec, n: int, seed: int) -> LabeledDataset:
         log_word = np.log(atoms @ a.T)
     log_word = np.where(np.isfinite(log_word), log_word, -1e300)
     loglik = full @ log_word.T + np.log(weights)[None, :]
-    labels = (_softmax_rows(loglik) @ atoms) @ spec.w
+    labels = (_softmax_columns(loglik.T).T @ atoms) @ spec.w
     y = labels[:, None] + spec.noise_sigma * rng.standard_normal((n, 1))
     return LabeledDataset(x1=x1, x2=x2, y=y)

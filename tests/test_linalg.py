@@ -1,6 +1,7 @@
 """Covariance and dense linear-algebra primitives."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from sslci import (
     pinv,
     random_gaussian_ci_spec,
 )
-from sslci.linalg import _as_float, solve_psd
+from sslci.linalg import _as_float, _softmax_columns, solve_psd
 from sslci.models import make_rng
 
 
@@ -101,6 +102,48 @@ def test_empirical_cov_no_centering_second_moment():
 def test_empirical_cov_row_mismatch():
     with pytest.raises(ValueError):
         empirical_cov(np.zeros((3, 2)), np.zeros((4, 2)))
+
+
+def test_empirical_cov_of_one_matrix_with_itself():
+    a = make_rng(3).standard_normal((40, 3))
+    assert empirical_cov(a, a).tobytes() == empirical_cov(a, a.copy()).tobytes()
+    a[7, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        empirical_cov(a, a)
+
+
+# ---------------------------------------------------------------------------
+# _softmax_columns: the in-place column softmax of the posteriors
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 64])
+def test_softmax_columns_sum_to_one(k):
+    z = 4.0 * make_rng(k, 5).standard_normal((k, 300))
+    out = _softmax_columns(z)
+    assert np.abs(out.sum(axis=0) - 1.0).max() < 1e-14
+    assert out.min() >= 0.0
+
+
+def test_softmax_columns_ignore_a_constant_added_to_a_column():
+    z = make_rng(6).standard_normal((5, 4))
+    shifted = z + np.array([0.0, 3.0, -250.0, 1e3])
+    assert np.allclose(_softmax_columns(shifted), _softmax_columns(z), rtol=1e-12, atol=1e-15)
+
+
+def test_softmax_columns_works_in_place():
+    z = make_rng(7).standard_normal((3, 6))
+    want = np.exp(z) / np.exp(z).sum(axis=0)
+    assert _softmax_columns(z) is z and np.allclose(z, want, rtol=1e-14, atol=0.0)
+    rows = make_rng(8).standard_normal((6, 3))  # row softmax through the transpose
+    assert _softmax_columns(rows.T).base is rows and np.allclose(rows.sum(axis=1), 1.0)
+
+
+def test_softmax_columns_logits_far_apart_give_an_exact_one_hot():
+    z = np.array([[0.0, 1e4, -1e4], [1e4, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = _softmax_columns(z)
+    assert np.array_equal(out, [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,30 @@ def test_mixture_posterior_builds_no_difference_tensor():
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("n", [1, 200])
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 16, 64])
+def test_mixture_posterior_matches_the_tensor_form_at_every_k(k, n):
+    # centres shrunk ×0.05 overlap, so the posteriors are far from one-hot
+    drawn = random_mixture_spec(k, 50, 4, alpha=0.0, seed=k)
+    spec = MixtureSpec(centers1=0.05 * drawn.centers1, centers2=drawn.centers2, alpha=0.0)
+    x = mixture_sample(spec, 200, seed=50 + k).x1[:n]
+    post = mixture_posterior(spec, x)
+    assert post.shape == (n, k)
+    assert np.abs(post - _tensor_form_posterior(spec.centers1, x)).max() <= 1e-12
+    assert np.abs(post.sum(axis=1) - 1.0).max() < 1e-12
+    if n > 1 and k > 2:
+        assert post.max(axis=1).min() <= 0.5
+
+
+def test_mixture_sample_x1_is_centers_plus_noise_from_the_same_state():
+    spec = random_mixture_spec(5, 7, 3, alpha=0.4, seed=12)
+    rng = make_rng(33)
+    labels = rng.integers(0, spec.k, size=300)
+    want = spec.centers1[labels] + rng.standard_normal((300, spec.d1))
+    x1 = mixture_sample(spec, 300, seed=33).x1
+    assert x1.tobytes() == want.tobytes() and not x1.flags.writeable
+
+
 def _eager_mixture_sample(spec, n, seed):
     """Reference: the whole mixture sample drawn at once, x2 last."""
     rng = make_rng(seed)
