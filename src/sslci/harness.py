@@ -31,6 +31,7 @@ import numpy as np
 
 from .independence import eps_ci_linear, eps_ci_linear_from_data
 from .learn import (
+    _mean_sq_norm,
     closed_form_f_gaussian,
     closed_form_psi_gaussian,
     closed_form_psi_mixture,
@@ -127,18 +128,11 @@ def _mixture_trial(*, d1, d2, k, alpha, n1, n2, eval_n, seed, **_):
         return scores, eps_ci_linear_from_data(ev.x1, ev.x2, ev.y)
 
 
-def _gaussian_population(d1: int, d2: int, k: int, seed: int):
-    """Exact-CI Gaussian spec, its blocks, target map E[Y|x1] and analytic eps_ci."""
-    spec = random_gaussian_ci_spec(d1, d2, k, seed)
-    blocks = gaussian_ci_population(spec)
-    eps = eps_ci_linear(
-        blocks.sigma_x1x1,
-        blocks.sigma_x1x2,
-        blocks.sigma_x1y,
-        blocks.sigma_yy,
-        blocks.sigma_x2y.T,
-    )
-    return spec, blocks, closed_form_f_gaussian(blocks), eps
+def _gaussian_population(spec):
+    """Blocks, target map E[Y|x1] (k×d1) and analytic eps_ci of an exact-CI Gaussian spec."""
+    b = gaussian_ci_population(spec)
+    eps = eps_ci_linear(b.sigma_x1x1, b.sigma_x1x2, b.sigma_x1y, b.sigma_yy, b.sigma_x2y.T)
+    return b, closed_form_f_gaussian(b), eps
 
 
 def _gaussian_n2_trial(*, d1, d2, k, n1, n2, eval_n, seed, **_):
@@ -148,27 +142,29 @@ def _gaussian_n2_trial(*, d1, d2, k, n1, n2, eval_n, seed, **_):
     its label noise is Gaussian and independent of x1.  On ψ* (rank k) the
     head is then k-feature OLS, whose MSE is pure estimation noise with mean
     tr(Σ_{Y|X1})·k/(n2 − k − 1), where Σ_{Y|X1} = Σ_YY − Σ_YX1·Σ_X1X1⁻¹·Σ_X1Y.
-    The downstream and evaluation samples stop before their x2 draw, which
-    nothing reads.  One helper thread draws the downstream and then the
-    evaluation sample while this thread draws the pretext sample and fits ψ̂
-    and the heads.  The helper calls no public function: perfbench's tracer
-    wraps those and keeps one span stack for all threads.
+    Once the spec is drawn, a helper thread draws the downstream and then the
+    evaluation sample, each stopping before its unread x2, while this thread
+    builds the blocks, F = E[Y|x1] and eps_ci, draws the pretext sample and
+    fits.  The helper calls no public function: perfbench's tracer wraps those
+    and keeps one span stack for all threads.  Each head is a d1×k map C on
+    x1, scored as the mean of ‖x·(Fᵀ − C)‖² over the evaluation rows x.
     """
     from concurrent.futures import ThreadPoolExecutor  # pulls in logging: import on use
-    spec, blocks, f_map, eps = _gaussian_population(d1, d2, k, derive_seed(seed, 11))
+    spec = random_gaussian_ci_spec(d1, d2, k, derive_seed(seed, 11))
     with ThreadPoolExecutor(1) as helper:
         down = helper.submit(_gaussian_ci_draw, spec, n2, make_rng(derive_seed(seed, 2)))
         ev = helper.submit(_gaussian_ci_draw, spec, eval_n, make_rng(derive_seed(seed, 3)))
+        blocks, f_map, eps = _gaussian_population(spec)
         pre = gaussian_ci_sample(spec, n1, derive_seed(seed, 1))
-        b_star = closed_form_psi_gaussian(blocks)
         down_y, down_x1 = down.result()
-        heads = _fit_heads(pre, down_x1, down_y, b_star)
-        return _eval_heads(heads, lambda x: x @ f_map.T, ev.result()[1]), eps
+        heads = _fit_heads(pre, down_x1, down_y, closed_form_psi_gaussian(blocks))
+        ev_x1 = ev.result()[1]
+        return {m: _mean_sq_norm(ev_x1 @ (f_map.T - w)) for m, (_, w) in heads.items()}, eps
 
 
 def _gaussian_identity_trial(*, d1, d2, k, seed, **_):
     """Residual of the closed-form identity plus the analytic eps_ci."""
-    _, blocks, f_map, eps = _gaussian_population(d1, d2, k, seed)
+    blocks, f_map, eps = _gaussian_population(random_gaussian_ci_spec(d1, d2, k, seed))
     b_star, w_star = closed_form_psi_gaussian(blocks), optimal_downstream_map(blocks)
     return {"identity-residual": np.linalg.norm(f_map - w_star.T @ b_star, "fro")}, eps
 

@@ -123,4 +123,11 @@ def mean_squared_error(w, features, f_star, eval_x1) -> float:
     w, x = _as_float(w), _as_float(eval_x1)
     pred = (features(x) @ w).reshape(x.shape[0], -1)
     target = _as_float(f_star(x)).reshape(x.shape[0], -1)
-    return float(((target - pred) ** 2).sum(axis=1).mean())
+    return _mean_sq_norm(target - pred)
+
+
+def _mean_sq_norm(e: Array) -> float:
+    """Mean over the rows e_i of ‖e_i‖², as one dot product of ``e`` flattened in C
+    order, so an F-ordered ``e`` gives the bits of its C-ordered copy."""
+    flat = e.reshape(-1)
+    return float(flat @ flat) / e.shape[0]

@@ -39,6 +39,7 @@ from sslci.harness import (
     write_line_plot_svg,
 )
 from sslci.learn import (
+    _mean_sq_norm,
     closed_form_psi_gaussian,
     closed_form_psi_mixture,
     fit_downstream,
@@ -50,6 +51,7 @@ from sslci.models import (
     gaussian_ci_sample,
     mixture_posterior,
     mixture_sample,
+    random_gaussian_ci_spec,
     random_mixture_spec,
 )
 
@@ -429,20 +431,29 @@ def test_grid_fields_name_the_field_their_value_replaces():
         assert {grid_field, grid_field.removesuffix("_grid")} <= names
 
 
+def _error_map_scores(heads, f_map, ev_x1) -> dict[str, float]:
+    """Each linear head's d1×k map C scored as the mean of ‖x·(Fᵀ − C)‖² over ``ev_x1``."""
+    return {m: _mean_sq_norm(ev_x1 @ (f_map.T - w)) for m, (_, w) in heads.items()}
+
+
 def test_gaussian_n2_trial_matches_scores_on_three_full_samples():
     params = dict(d1=6, d2=5, k=2, n1=300, n2=80, eval_n=500)
     seed = derive_seed(7, 1, 2)
     scores, eps = _gaussian_n2_trial(**params, seed=seed)
-    spec, blocks, f_map, want_eps = _gaussian_population(6, 5, 2, derive_seed(seed, 11))
+    spec = random_gaussian_ci_spec(6, 5, 2, derive_seed(seed, 11))
+    blocks, f_map, want_eps = _gaussian_population(spec)
     pre, down, ev = (
         gaussian_ci_sample(spec, params[size], derive_seed(seed, sub))
         for sub, size in ((1, "n1"), (2, "n2"), (3, "eval_n"))
     )
     b_star = closed_form_psi_gaussian(blocks)
-    heads = _fit_heads(pre, down.x1, down.y, b_star)
-    want = _eval_heads(heads, lambda x: x @ f_map.T, ev.x1)
+    want = _error_map_scores(_fit_heads(pre, down.x1, down.y, b_star), f_map, ev.x1)
     assert list(scores) == list(want) == ["psi", "psi-star", "raw-x1"]
     assert scores == want and eps == want_eps
+    two_step = _two_step_scores(pre, down, b_star, lambda x: x @ f_map.T, ev.x1)
+    assert list(two_step) == list(scores)
+    for m, value in two_step.items():
+        assert abs(scores[m] - value) <= 1e-12 * value, m
 
 
 def _two_step_scores(pre, down, star, target, ev_x1) -> dict[str, float]:
@@ -470,7 +481,8 @@ def test_composed_heads_score_as_the_two_step_pipeline(model):
         scores, _ = _mixture_trial(d1=6, d2=5, k=k, alpha=0.25, **sizes, seed=seed)
         star_shape = (5, k)  # the mixture ψ* is a callable: its head stays d2×k
     else:
-        k, (spec, blocks, f_map, _) = 2, _gaussian_population(6, 5, 2, derive_seed(seed, 11))
+        k, spec = 2, random_gaussian_ci_spec(6, 5, 2, derive_seed(seed, 11))
+        blocks, f_map, _ = _gaussian_population(spec)
         draw = gaussian_ci_sample
         star, target = closed_form_psi_gaussian(blocks), lambda x: x @ f_map.T
         scores, _ = _gaussian_n2_trial(d1=6, d2=5, k=k, **sizes, seed=seed)
@@ -482,7 +494,10 @@ def test_composed_heads_score_as_the_two_step_pipeline(model):
     heads = _fit_heads(pre, down.x1, down.y, star)
     shapes = {m: w.shape for m, (_, w) in heads.items()}
     assert shapes == {"psi": (6, k), "psi-star": star_shape, "raw-x1": (6, k)}
-    composed = _eval_heads(heads, target, ev.x1)
+    if model == "mixture":
+        composed = _eval_heads(heads, target, ev.x1)
+    else:  # every Gaussian head is linear: scored through its error map Fᵀ − C
+        composed = _error_map_scores(heads, f_map, ev.x1)
     assert scores == composed
     two_step = _two_step_scores(pre, down, star, target, ev.x1)
     assert list(two_step) == list(composed)
@@ -676,6 +691,23 @@ def test_gaussian_trial_draws_both_heads_on_one_helper_thread(monkeypatch):
     [(n2, down), (eval_n, ev)] = draws
     assert (n2, eval_n) == (TINY["n2"], TINY["eval_n"])
     assert down == ev != threading.main_thread().ident
+
+
+def test_gaussian_trial_starts_a_helper_draw_before_building_the_blocks(monkeypatch):
+    started = threading.Event()
+
+    def recorded(spec, n, rng, draw=sslci.harness._gaussian_ci_draw):
+        started.set()
+        return draw(spec, n, rng)
+
+    def population(spec, blocks=sslci.harness.gaussian_ci_population):
+        assert started.wait(timeout=5), "the blocks were built before any helper draw began"
+        return blocks(spec)
+
+    monkeypatch.setattr("sslci.harness._gaussian_ci_draw", recorded)
+    monkeypatch.setattr("sslci.harness.gaussian_ci_population", population)
+    scores, _ = _gaussian_n2_trial(**TINY)
+    assert list(scores) == ["psi", "psi-star", "raw-x1"]
 
 
 def test_mixture_trial_draws_its_x2_on_at_most_one_helper_thread(monkeypatch):

@@ -24,7 +24,7 @@ from sslci import (
     random_gaussian_ci_spec,
     random_mixture_spec,
 )
-from sslci.learn import mixture_two_class_target
+from sslci.learn import _mean_sq_norm, mixture_two_class_target
 from sslci.linalg import _singular, solve_psd
 from sslci.models import _fit_width, make_rng
 
@@ -401,3 +401,33 @@ def test_mean_squared_error_rejects_a_head_that_is_not_finite(bad):
     w = np.array([[1.0], [bad]])
     with pytest.raises(ValueError, match="non-finite entries"):
         mean_squared_error(w, lambda v: v, lambda v: v[:, :1], x)
+
+
+def test_mean_sq_norm_matches_a_hand_computed_value():
+    # rows (−1, −3) and (0, 1): ‖e_1‖² = 10, ‖e_2‖² = 1, mean 5.5
+    assert _mean_sq_norm(np.array([[-1.0, -3.0], [0.0, 1.0]])) == 5.5
+
+
+def test_mean_sq_norm_of_an_f_ordered_target_is_bit_equal_to_its_c_copy():
+    drawn = random_mixture_spec(3, 6, 5, 0.0, seed=4)
+    # centres shrunk ×0.05 overlap, so the posteriors are far from one-hot
+    spec = MixtureSpec(centers1=0.05 * drawn.centers1, centers2=drawn.centers2, alpha=0.0)
+    x = make_rng(6).standard_normal((3000, 6))
+    post = mixture_posterior(spec, x)
+    assert post.flags.f_contiguous and not post.flags.c_contiguous
+    copy = np.ascontiguousarray(post)
+    assert _mean_sq_norm(post) == _mean_sq_norm(copy)
+    w = make_rng(7).standard_normal((6, 3))
+
+    def c_ordered(v):
+        return np.ascontiguousarray(mixture_posterior(spec, v))
+
+    view = mean_squared_error(w, lambda v: v, lambda v: mixture_posterior(spec, v), x)
+    assert view == mean_squared_error(w, lambda v: v, c_ordered, x)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 16])
+def test_mean_sq_norm_matches_the_row_wise_sum(k):
+    e = make_rng(23, k).standard_normal((10_000, k))
+    want = (e**2).sum(axis=1).mean()
+    assert abs(_mean_sq_norm(e) - want) <= 1e-14 * want
