@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .harness import EXPERIMENTS
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config_file"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -110,19 +110,12 @@ def _read_key_values(
         yield key, raw
 
 
-def parse_config_file(path: str | Path) -> dict:
-    """Read key=value lines; '#' starts a comment; blank lines ignored."""
-    pairs = _read_key_values(path, _DEFAULTS)
-    return {key: _parse_value(key, raw) for key, raw in pairs}
-
-
 def load_config(
     path: str | Path | None = None, overrides: dict | None = None
 ) -> ExperimentConfig:
     """Merge defaults, an optional config file, and CLI overrides."""
-    values: dict = {}
-    if path is not None:
-        values.update(parse_config_file(path))
+    pairs = _read_key_values(path, _DEFAULTS) if path is not None else ()
+    values = {key: _parse_value(key, raw) for key, raw in pairs}
     for key, value in (overrides or {}).items():
         if value is None:
             continue

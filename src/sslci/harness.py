@@ -103,11 +103,6 @@ def _fit_heads(pre, down_x1, down_y, star) -> dict:
     return heads
 
 
-def _eval_heads(heads, target, ev_x1) -> dict[str, float]:
-    """MSE vs ``target`` of each ``_fit_heads`` head, scored as ``features(ev_x1) @ head``."""
-    return {m: mean_squared_error(w, f, target, ev_x1) for m, (f, w) in heads.items()}
-
-
 def _mixture_trial(*, d1, d2, k, alpha, n1, n2, eval_n, seed, **_):
     """One mixture trial; returns per-method MSE and an eps_ci estimate.  One
     helper thread draws the pretext and then the evaluation x2 (drawn on first
@@ -124,7 +119,8 @@ def _mixture_trial(*, d1, d2, k, alpha, n1, n2, eval_n, seed, **_):
         down = mixture_sample(spec, n2, derive_seed(seed, 2))
         star = partial(closed_form_psi_mixture, spec)
         target = partial(mixture_posterior, spec)
-        scores = _eval_heads(_fit_heads(pre, down.x1, down.y, star), target, ev.x1)
+        heads = _fit_heads(pre, down.x1, down.y, star)
+        scores = {m: mean_squared_error(w, f, target, ev.x1) for m, (f, w) in heads.items()}
         return scores, eps_ci_linear_from_data(ev.x1, ev.x2, ev.y)
 
 

@@ -70,11 +70,11 @@ def closed_form_psi_mixture(spec: MixtureSpec, x1) -> Array:
 
 
 def mixture_two_class_target(spec: MixtureSpec, x1) -> Array:
-    """Signed ±1 label target P(y=1|x1) − P(y=2|x1) for two-class specs."""
+    """Signed ±1 label target P(y=1|x1) − P(y=2|x1) of a two-class spec, on an n×d1 batch."""
     if spec.k != 2:
         raise ValueError("signed target requires k = 2")
     post = mixture_posterior(spec, x1)
-    return post[..., 0] - post[..., 1]
+    return post[:, 0] - post[:, 1]
 
 
 def _least_squares(a: Array, b: Array) -> Array:

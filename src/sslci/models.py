@@ -218,18 +218,16 @@ def random_mixture_spec(
     )
 
 
-def _fit_width(x: Array, d: int) -> Array:
-    """Zero-pad on the right or truncate to the first d coordinates."""
-    return np.pad(x, ((0, 0), (0, d - x.shape[1]))) if x.shape[1] < d else x[:, :d]
-
-
 def _mixture_x2(spec: MixtureSpec, labels: Array, x1: Array, rng) -> Array:
-    """centers2[y] + z, z drawn last, then ·(1−α) and + α·fit(x1) in place, unless α = 0."""
+    """centers2[y] + z, z drawn last, then ·(1−α) and + α·pad(x1) in place, unless α = 0:
+    α·pad(x1) is written into z's buffer, x1 truncated or its pad columns set to +0.0."""
     x2, noise = spec.centers2[labels], rng.standard_normal((labels.size, spec.d2))
     x2 += noise
     if spec.alpha:  # at α = 0 these steps would only multiply by 1 and add ±0
         x2 *= 1.0 - spec.alpha
-        x2 += np.multiply(spec.alpha, _fit_width(x1, spec.d2), out=noise)
+        noise[:, spec.d1 :] = 0.0
+        np.multiply(spec.alpha, x1[:, : spec.d2], out=noise[:, : spec.d1])
+        x2 += noise
     return x2
 
 

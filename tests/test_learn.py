@@ -26,7 +26,7 @@ from sslci import (
 )
 from sslci.learn import _mean_sq_norm, mixture_two_class_target
 from sslci.linalg import _singular, solve_psd
-from sslci.models import _fit_width, make_rng
+from sslci.models import make_rng
 
 
 def _scalar_blocks(s11, s12, s1y, s22, s2y, syy) -> CovarianceBlocks:
@@ -152,20 +152,25 @@ def test_mixture_psi_at_alpha_one_is_the_fitted_first_view(d1, d2):
     assert np.array_equal(closed_form_psi_mixture(spec, x1[4:5]), padded[4:5])
 
 
+def _pad(x, d):
+    """x zero-padded with +0.0 on the right or truncated to d columns, by np.pad."""
+    return np.pad(x[:, :d], ((0, 0), (0, max(d - x.shape[1], 0))))
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
-@pytest.mark.parametrize("d1, d2", [(3, 5), (5, 3)], ids=["pad", "truncate"])
+@pytest.mark.parametrize("d1, d2", [(3, 5), (5, 3), (4, 4)], ids=["pad", "truncate", "equal"])
 def test_mixture_alpha_terms_are_bit_equal_to_the_padded_formula(d1, d2, alpha):
     spec = random_mixture_spec(3, d1, d2, alpha, seed=31)
     x1 = make_rng(32).standard_normal((60, d1))
     want = mixture_posterior(spec, x1) @ ((1.0 - alpha) * spec.centers2)
-    want = want + alpha * _fit_width(x1, d2)
+    want = want + alpha * _pad(x1, d2)
     assert closed_form_psi_mixture(spec, x1).tobytes() == want.tobytes()
     # the sample's x2 against the formula drawn from the same generator state
     rng = make_rng(33)
     labels = rng.integers(0, spec.k, size=60)
     first = spec.centers1[labels] + rng.standard_normal((60, d1))
     noise = rng.standard_normal((60, d2))
-    want = (1.0 - alpha) * (spec.centers2[labels] + noise) + alpha * _fit_width(first, d2)
+    want = (1.0 - alpha) * (spec.centers2[labels] + noise) + alpha * _pad(first, d2)
     data = mixture_sample(spec, 60, seed=33)
     assert data.x1.tobytes() == first.tobytes()
     assert data.x2.tobytes() == want.tobytes()
@@ -175,6 +180,13 @@ def test_mixture_psi_takes_only_a_batch():
     spec = random_mixture_spec(3, 4, 6, alpha=0.5, seed=21)
     with pytest.raises(ValueError, match=re.escape("got shape (4,)")):
         closed_form_psi_mixture(spec, [0.0, 1.0, 2.0, 3.0])
+
+
+def test_mixture_two_class_target_takes_only_a_batch():
+    spec = random_mixture_spec(2, 4, 6, alpha=0.5, seed=21)
+    with pytest.raises(ValueError, match=re.escape("got shape (4,)")):
+        mixture_two_class_target(spec, [0.0, 1.0, 2.0, 3.0])
+    assert mixture_two_class_target(spec, np.zeros((3, 4))).shape == (3,)
 
 
 def test_mixture_psi_residual_is_uncorrelated_with_x1_at_half_alpha():

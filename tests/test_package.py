@@ -20,6 +20,7 @@ SRC = Path(sslci.__file__).resolve().parents[1]
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
 LIBRARY = ("linalg", "models", "learn", "independence", "operators", "topics")
+APPLICATION = ("config", "harness", "cli")
 TINY_CONFIG = """\
 d1 = 6
 d2 = 5
@@ -58,12 +59,18 @@ def _names_read(path: Path) -> set[str]:
 
 
 def test_every_exported_function_has_a_reader():
-    # functions and classes; a reader is library code or the benchmark, and
-    # the tests alone do not count
+    # functions and classes of the library and of config, harness and cli; a
+    # reader is library code or the benchmark, and the tests alone do not count
     library = [f for f in SRC.joinpath("sslci").glob("*.py") if f.name != "__init__.py"]
     read = set().union(*map(_names_read, library + [*README.parent.glob("perfbench/*.py")]))
     kinds = (inspect.isfunction, inspect.isclass)
-    exported = {n for n in sslci.__all__ if any(kind(getattr(sslci, n)) for kind in kinds)}
+    modules = [sslci, *(importlib.import_module(f"sslci.{m}") for m in APPLICATION)]
+    exported = {
+        name
+        for module in modules
+        for name in module.__all__
+        if any(kind(getattr(module, name)) for kind in kinds)
+    }
     assert sorted(exported - read) == []
 
 
